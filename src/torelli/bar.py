@@ -20,6 +20,7 @@ import threading
 
 from .hall import LieElement, get_basis
 from .malcev import MalcevContext, NilElement
+from .sparse import SparseChain, add_into, collect
 from .words import Word, apply_endo, boundary_word, word
 
 __all__ = [
@@ -81,73 +82,30 @@ class NilLabels:
         return a.is_identity()
 
 
-class BarChain:
+class BarChain(SparseChain):
     """Sparse normalized bar chain: tuples of non-identity labels -> int."""
 
-    __slots__ = ("degree", "ops", "terms")
+    __slots__ = ("ops",)
 
     def __init__(self, degree: int, ops, terms: dict | None = None):
         self.degree = degree
         self.ops = ops
         self.terms: dict[tuple, int] = {}
-        if terms:
-            for tup, coeff in terms.items():
-                if not coeff:
-                    continue
-                if len(tup) != degree:
-                    raise ValueError("tuple of wrong degree")
-                if any(ops.is_id(x) for x in tup):
-                    continue
-                nv = self.terms.get(tup, 0) + coeff
-                if nv:
-                    self.terms[tup] = nv
-                elif tup in self.terms:
-                    del self.terms[tup]
+        for tup, coeff in (terms or {}).items():
+            if not coeff:
+                continue
+            if len(tup) != degree:
+                raise ValueError("tuple of wrong degree")
+            if not any(ops.is_id(x) for x in tup):
+                self.terms[tup] = coeff
 
-    def __add__(self, other: "BarChain") -> "BarChain":
-        if self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.terms)
-        for t, v in other.terms.items():
-            nv = out.get(t, 0) + v
-            if nv:
-                out[t] = nv
-            elif t in out:
-                del out[t]
-        res = BarChain(self.degree, self.ops)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + other.scale(-1)
-
-    def scale(self, n: int) -> "BarChain":
-        res = BarChain(self.degree, self.ops)
-        if n:
-            res.terms = {t: v * n for t, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BarChain):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        return f"BarChain(degree={self.degree}, {len(self.terms)} terms)"
+    def _like(self) -> "BarChain":
+        return BarChain(self.degree, self.ops)
 
 
 def bar_chain(degree: int, items, ops=WORD_LABELS) -> BarChain:
     """Build a chain from (tuple, coeff) pairs, normalizing as it goes."""
-    acc: dict[tuple, int] = {}
-    for tup, coeff in items:
-        acc[tup] = acc.get(tup, 0) + coeff
-    return BarChain(degree, ops, acc)
+    return BarChain(degree, ops, collect(items))
 
 
 def bar_boundary(chain: BarChain) -> BarChain:
@@ -233,73 +191,31 @@ def fox_derivatives(w: Word) -> dict[int, dict[Word, int]]:
     return {x: d for x, d in out.items() if d}
 
 
-class ResolutionElement:
+class ResolutionElement(SparseChain):
     """Finite Z-combination of (translate, basis tuple) pairs in the
     normalized bar resolution of Z over Z[pi]."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
 
     def __init__(self, degree: int, terms: dict | None = None):
         self.degree = degree
         self.terms: dict[tuple[Word, tuple], int] = {}
-        if terms:
-            for (g, tup), coeff in terms.items():
-                if not coeff or any(not x.letters for x in tup):
-                    continue
-                if len(tup) != degree:
-                    raise ValueError("basis tuple of wrong degree")
-                key = (g, tup)
-                nv = self.terms.get(key, 0) + coeff
-                if nv:
-                    self.terms[key] = nv
-                elif key in self.terms:
-                    del self.terms[key]
+        for (g, tup), coeff in (terms or {}).items():
+            if not coeff or any(not x.letters for x in tup):
+                continue
+            if len(tup) != degree:
+                raise ValueError("basis tuple of wrong degree")
+            self.terms[(g, tup)] = coeff
 
-    def __add__(self, other: "ResolutionElement") -> "ResolutionElement":
-        if self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        res = ResolutionElement(self.degree)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "ResolutionElement") -> "ResolutionElement":
-        return self + other.scale(-1)
-
-    def scale(self, n: int) -> "ResolutionElement":
-        res = ResolutionElement(self.degree)
-        if n:
-            res.terms = {k: v * n for k, v in self.terms.items()}
-        return res
+    def _like(self) -> "ResolutionElement":
+        return ResolutionElement(self.degree)
 
     def translate(self, g: Word) -> "ResolutionElement":
-        res = ResolutionElement(self.degree)
-        res.terms = {(g * h, tup): v for (h, tup), v in self.terms.items()}
-        return res
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResolutionElement):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"ResolutionElement(degree={self.degree}, {len(self.terms)} terms)"
+        return self._with({(g * h, tup): v for (h, tup), v in self.terms.items()})
 
 
 def res_element(degree: int, items) -> ResolutionElement:
-    acc: dict[tuple[Word, tuple], int] = {}
-    for key, coeff in items:
-        acc[key] = acc.get(key, 0) + coeff
-    return ResolutionElement(degree, acc)
+    return ResolutionElement(degree, collect(items))
 
 
 def res_boundary(elt: ResolutionElement) -> ResolutionElement:
@@ -317,14 +233,7 @@ def res_boundary(elt: ResolutionElement) -> ResolutionElement:
             items.append(((g, merged), sign * coeff))
             sign = -sign
         items.append(((g, tup[:-1]), sign * coeff))
-    return ResolutionElement(elt.degree - 1, dict_from(items))
-
-
-def dict_from(items) -> dict:
-    acc: dict = {}
-    for k, v in items:
-        acc[k] = acc.get(k, 0) + v
-    return acc
+    return res_element(elt.degree - 1, items)
 
 
 def iota_rho(elt: ResolutionElement) -> ResolutionElement:
@@ -341,7 +250,7 @@ def iota_rho(elt: ResolutionElement) -> ResolutionElement:
             xw = word([x])
             for v, c in d.items():
                 items.append(((g * v, (xw,)), coeff * c))
-    return ResolutionElement(1, dict_from(items))
+    return res_element(1, items)
 
 
 def contraction(elt: ResolutionElement) -> ResolutionElement:
@@ -350,7 +259,7 @@ def contraction(elt: ResolutionElement) -> ResolutionElement:
     items = []
     for (g, tup), coeff in elt.terms.items():
         items.append(((_EMPTY, (g,) + tup), coeff))
-    return ResolutionElement(elt.degree + 1, dict_from(items))
+    return res_element(elt.degree + 1, items)
 
 
 class ComparisonHomotopy:
@@ -388,10 +297,10 @@ class ComparisonHomotopy:
         return out
 
     def __call__(self, elt: ResolutionElement) -> ResolutionElement:
-        out = ResolutionElement(elt.degree + 1)
+        out: dict[tuple[Word, tuple], int] = {}
         for (g, tup), coeff in elt.terms.items():
-            out = out + self.of_tuple(tup).translate(g).scale(coeff)
-        return out
+            add_into(out, self.of_tuple(tup).translate(g).terms, coeff)
+        return ResolutionElement(elt.degree + 1, out)
 
 
 _homotopy = ComparisonHomotopy()
@@ -434,13 +343,12 @@ def push(chain: BarChain, ctx: MalcevContext) -> BarChain:
         (tuple(ctx.element(x) for x in tup), coeff)
         for tup, coeff in chain.terms.items()
     ]
-    return BarChain(chain.degree, ops, dict_from(items))
+    return bar_chain(chain.degree, items, ops)
 
 
 def antisym_cycle(x: NilElement, y: NilElement, z: NilElement) -> BarChain:
     """Full antisymmetrization sum_{s in S3} sgn(s) [s(x)|s(y)|s(z)].
     Over an abelian quotient this is a cycle."""
-    ops = NilLabels(x.ctx)
     items = []
     for perm, sign in (
         ((0, 1, 2), 1),
@@ -452,7 +360,7 @@ def antisym_cycle(x: NilElement, y: NilElement, z: NilElement) -> BarChain:
     ):
         trip = (x, y, z)
         items.append((tuple(trip[i] for i in perm), sign))
-    return BarChain(3, ops, dict_from(items))
+    return bar_chain(3, items, NilLabels(x.ctx))
 
 
 def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
@@ -471,20 +379,18 @@ def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
     if bar_boundary(z):
         raise ValueError("input chain is not a cycle")
     ctx = z.ops.ctx
-    up = get_basis(ctx.n, ctx.k)
-    slots: list[LieElement] = [LieElement(up, {}) for _ in range(ctx.n)]
+    slots: list[dict] = [{} for _ in range(ctx.n)]
     for (g1, g2, g3), coeff in z.terms.items():
         coc = ctx.cocycle(g2, g3)
         if not coc.coeffs:
             continue
-        ab = g1.log.weight_part(1).coeffs  # letters occupy indices 0..n-1
-        for i in range(ctx.n):
-            a = ab.get(i, 0)
-            if a:
-                slots[i] = slots[i] + coc.scale(epsilon * coeff * a)
-    for i, s in enumerate(slots):
+        for i, a in g1.abelianization().items():
+            add_into(slots[i], coc.coeffs, epsilon * coeff * a)
+    up = get_basis(ctx.n, ctx.k)
+    out = tuple(LieElement(up, s) for s in slots)
+    for i, s in enumerate(out):
         assert s.is_integral(), f"cap value at slot {i} is not integral"
-    return tuple(slots)
+    return out
 
 
 def chain_to_jsonable(chain: BarChain) -> list:

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 from .hall import HallBasis, LieElement, get_basis
 from .linalg import rank_bareiss, rank_gauss
+from .sparse import SparseChain, add_into, collect
 
 __all__ = [
     "WedgeChain",
@@ -54,69 +55,34 @@ def _sort_with_sign(tup: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class WedgeChain:
+class WedgeChain(SparseChain):
     """Sparse element of Lambda^degree of a Hall-based Lie algebra."""
 
-    __slots__ = ("basis", "degree", "terms")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: HallBasis, degree: int, terms: dict | None = None):
         self.basis = basis
         self.degree = degree
-        self.terms: dict[tuple[int, ...], Fraction | int] = {}
-        if terms:
-            for tup, coeff in terms.items():
-                if not coeff:
-                    continue
-                if len(tup) != degree:
-                    raise ValueError(f"tuple {tup} has wrong degree")
-                stup, sign = _sort_with_sign(tup)
-                if sign:
-                    nv = self.terms.get(stup, 0) + sign * coeff
-                    if nv:
-                        self.terms[stup] = nv
-                    elif stup in self.terms:
-                        del self.terms[stup]
+        pairs = []
+        for tup, coeff in (terms or {}).items():
+            if not coeff:
+                continue
+            if len(tup) != degree:
+                raise ValueError(f"tuple {tup} has wrong degree")
+            stup, sign = _sort_with_sign(tup)
+            if sign:
+                pairs.append((stup, sign * coeff))
+        self.terms: dict[tuple[int, ...], Fraction | int] = collect(pairs)
+
+    def _like(self) -> "WedgeChain":
+        return WedgeChain(self.basis, self.degree)
 
     def _check(self, other: "WedgeChain") -> None:
-        if self.degree != other.degree:
-            raise ValueError("mixed degrees")
+        super()._check(other)
         if self.basis is not other.basis and (
             (self.basis.n, self.basis.c) != (other.basis.n, other.basis.c)
         ):
             raise ValueError("mixed ambient algebras")
-
-    def __add__(self, other: "WedgeChain") -> "WedgeChain":
-        self._check(other)
-        out = dict(self.terms)
-        for t, v in other.terms.items():
-            nv = out.get(t, 0) + v
-            if nv:
-                out[t] = nv
-            elif t in out:
-                del out[t]
-        res = WedgeChain(self.basis, self.degree)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "WedgeChain") -> "WedgeChain":
-        return self + other.scale(-1)
-
-    def scale(self, q) -> "WedgeChain":
-        res = WedgeChain(self.basis, self.degree)
-        if q:
-            res.terms = {t: v * q for t, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WedgeChain):
-            return NotImplemented
-        self._check(other)
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(other.terms.get(t) == v for t, v in self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def weight_of(self, tup: tuple[int, ...]) -> int:
         w = self.basis.weights
@@ -361,40 +327,22 @@ def read_h_tensor_l(chain: WedgeChain, k: int) -> tuple[LieElement, ...]:
                 f"term {(i, j)} of weights ({weights[i]},{weights[j]}) is not "
                 f"(weight-1)^(weight-{k}): the input was not represented by a cycle"
             )
-        slots[i][j] = slots[i].get(j, 0) + v
+        slots[i][j] = v
     return tuple(LieElement(basis, s) for s in slots)
 
 
 def act(cols: tuple[LieElement, ...], chain: WedgeChain) -> WedgeChain:
     """Apply a Lie algebra endomorphism (columns over the Hall basis) to a
     wedge chain, factor by factor."""
-    basis = chain.basis
     out: dict[tuple[int, ...], Fraction | int] = {}
     for tup, coeff in chain.terms.items():
+        # distinct (prefix, index) pairs give distinct tuples: nothing to merge
         partial: dict[tuple[int, ...], Fraction | int] = {(): coeff}
         for idx in tup:
-            col = cols[idx]
-            nxt: dict[tuple[int, ...], Fraction | int] = {}
-            for built, bv in partial.items():
-                for i, v in col.coeffs.items():
-                    nt = built + (i,)
-                    nv = nxt.get(nt, 0) + bv * v
-                    if nv:
-                        nxt[nt] = nv
-                    elif nt in nxt:
-                        del nxt[nt]
-            partial = nxt
-        for t, v in partial.items():
-            st, sign = _sort_with_sign(t)
-            if sign:
-                nv = out.get(st, 0) + sign * v
-                if nv:
-                    out[st] = nv
-                elif st in out:
-                    del out[st]
-    res = WedgeChain(basis, chain.degree)
-    res.terms = out
-    return res
+            col = cols[idx].coeffs
+            partial = {t + (i,): tv * v for t, tv in partial.items() for i, v in col.items()}
+        add_into(out, partial)
+    return WedgeChain(chain.basis, chain.degree, out)
 
 
 def verify_d_squared(g: int, k: int, max_degree: int) -> dict:

@@ -25,6 +25,8 @@ import threading
 from fractions import Fraction
 from typing import Iterable
 
+from .sparse import add_into, collect
+
 __all__ = ["HallBasis", "get_basis", "LieElement", "lie_zero", "lie_generator"]
 
 Tree = int | tuple  # leaf letter (1-based) or (left, right)
@@ -195,17 +197,11 @@ class LieElement:
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, 0) + v
-        return LieElement(self.basis, out)
+        return LieElement(self.basis, add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, 0) - v
-        return LieElement(self.basis, out)
+        return LieElement(self.basis, add_into(dict(self.coeffs), other.coeffs, -1))
 
     def __neg__(self) -> "LieElement":
         return LieElement(self.basis, {i: -v for i, v in self.coeffs.items()})
@@ -290,7 +286,4 @@ def lie_generator(basis: HallBasis, letter: int) -> LieElement:
 
 
 def lie_from_items(basis: HallBasis, items: Iterable[tuple[int, Fraction | int]]) -> LieElement:
-    out: dict[int, Fraction | int] = {}
-    for i, v in items:
-        out[i] = out.get(i, 0) + v
-    return LieElement(basis, out)
+    return LieElement(basis, collect(items))

@@ -33,6 +33,7 @@ from .malcev import (
     get_context,
     induced_lie_auto,
 )
+from .sparse import add_into
 from .words import MappingClassRep, Word, apply_endo, catalog, compose, h_action, word
 
 __all__ = [
@@ -163,12 +164,10 @@ def johnson_act(alpha: MappingClassRep, t: JohnsonValue, k: int) -> JohnsonValue
     basis = t.values[0].basis
     out = []
     for j in range(n):
-        acc = LieElement(basis, {})
+        acc: dict = {}
         for i in range(n):
-            cij = a_inv[i][j]
-            if cij:
-                acc = acc + t.values[i].scale(cij)
-        out.append(act_lie(cols, acc))
+            add_into(acc, t.values[i].coeffs, a_inv[i][j])
+        out.append(act_lie(cols, LieElement(basis, acc)))
     return JohnsonValue(k, tuple(out))
 
 
@@ -354,13 +353,13 @@ class SemidirectElement:
 
 def _wedge_of_abelian(ctx, elts) -> WedgeChain:
     """Trilinear expansion of the wedge of abelianized group elements."""
-    vecs = [e.log.weight_part(1).coeffs for e in elts]
-    terms: dict[tuple[int, ...], object] = {}
-    for i, ci in vecs[0].items():
-        for j, cj in vecs[1].items():
-            for l, cl in vecs[2].items():
-                tup = (i, j, l)
-                terms[tup] = terms.get(tup, 0) + ci * cj * cl
+    x, y, z = (e.abelianization() for e in elts)
+    terms = {
+        (i, j, l): ci * cj * cl
+        for i, ci in x.items()
+        for j, cj in y.items()
+        for l, cl in z.items()
+    }
     return WedgeChain(ctx.basis, 3, terms)
 
 

@@ -24,7 +24,8 @@ import threading
 from fractions import Fraction
 
 from .hall import HallBasis, LieElement, get_basis
-from .tensor import TensorContext, t_scale
+from .sparse import add_into
+from .tensor import TensorContext
 from .words import Endomorphism, MappingClassRep, Word, apply_endo, generator
 
 __all__ = [
@@ -59,6 +60,15 @@ class NilElement:
         if self._log is None:
             self._log = self.ctx.tc.to_lie(self.ctx.tc.log(self.tensor))
         return self._log
+
+    def abelianization(self) -> dict[int, Fraction | int]:
+        """Exponent vector {letter index: exponent} of the image in H.
+
+        Read off the one-letter words of the tensor: the weight-1 part of
+        log(1 + u) is the weight-1 part of u.
+        """
+        t = self.tensor
+        return {i: t[(i + 1,)] for i in range(self.ctx.n) if (i + 1,) in t}
 
     def __mul__(self, other: "NilElement") -> "NilElement":
         if self.ctx is not other.ctx:
@@ -226,7 +236,7 @@ class MalcevContext:
                         )
                     exps[i] = int(e)
                     stage = self.tc.mul(
-                        stage, self.tc.exp(t_scale(self.tc.from_lie(self.basic_log(i)), e))
+                        stage, self.tc.exp(self.tc.from_lie(self.basic_log(i).scale(e)))
                     )
             rem = self.tc.mul(self.tc.inverse(stage), rem)
         assert len(rem) == 1, "peeling left a nontrivial remainder"
@@ -242,7 +252,7 @@ class MalcevContext:
         for i, e in enumerate(exps):
             if e:
                 t = self.tc.mul(
-                    t, self.tc.exp(t_scale(self.tc.from_lie(self.basic_log(i)), e))
+                    t, self.tc.exp(self.tc.from_lie(self.basic_log(i).scale(e)))
                 )
         out = NilElement(self, t)
         out._nf = exps + (0,) * (self.basis.dim - len(exps))
@@ -305,12 +315,6 @@ class MalcevContext:
                 cols.append(cols[l].bracket(cols[r]))
         return tuple(cols)
 
-    def act_lie(self, cols: tuple[LieElement, ...], x: LieElement) -> LieElement:
-        out = LieElement(self.basis, {})
-        for i, v in x.coeffs.items():
-            out = out + cols[i].scale(v)
-        return out
-
     def __repr__(self) -> str:
         return f"MalcevContext(n={self.n}, k={self.k})"
 
@@ -354,10 +358,10 @@ def induced_lie_auto(phi: Endomorphism, k: int) -> tuple[LieElement, ...]:
 
 def act_lie(cols: tuple[LieElement, ...], x: LieElement) -> LieElement:
     """Apply columns of a Lie endomorphism to an element, linearly."""
-    out = LieElement(x.basis, {})
+    out: dict = {}
     for i, v in x.coeffs.items():
-        out = out + cols[i].scale(v)
-    return out
+        add_into(out, cols[i].coeffs, v)
+    return LieElement(x.basis, out)
 
 
 class NilAutomorphism:

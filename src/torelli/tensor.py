@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .hall import HallBasis, LieElement
+from .sparse import add_into
 
 __all__ = ["TensorContext"]
 
@@ -25,23 +26,6 @@ Word_ = tuple  # tuple of 1-based letters
 Tensor = dict  # Word_ -> int | Fraction
 
 _ONE: Tensor = {(): 1}
-
-
-def t_add(a: Tensor, b: Tensor) -> Tensor:
-    out = dict(a)
-    for w, v in b.items():
-        nv = out.get(w, 0) + v
-        if nv:
-            out[w] = nv
-        elif w in out:
-            del out[w]
-    return out
-
-
-def t_scale(a: Tensor, q) -> Tensor:
-    if not q:
-        return {}
-    return {w: v * q for w, v in a.items()}
 
 
 class TensorContext:
@@ -82,7 +66,7 @@ class TensorContext:
             pw = self.mul(pw, x)
             if not pw:
                 break
-            out = t_add(out, t_scale(pw, Fraction(1, factorial(m))))
+            add_into(out, pw, Fraction(1, factorial(m)))
         return out
 
     def log(self, p: Tensor) -> Tensor:
@@ -95,8 +79,7 @@ class TensorContext:
             pw = self.mul(pw, u)
             if not pw:
                 break
-            sign = 1 if m % 2 == 1 else -1
-            out = t_add(out, t_scale(pw, Fraction(sign, m)))
+            add_into(out, pw, Fraction(1 if m % 2 else -1, m))
         return out
 
     def inverse(self, p: Tensor) -> Tensor:
@@ -110,7 +93,7 @@ class TensorContext:
             pw = self.mul(pw, u)
             if not pw:
                 break
-            out = t_add(out, pw)
+            add_into(out, pw)
         return out
 
     def generator(self, letter: int) -> Tensor:
@@ -134,7 +117,7 @@ class TensorContext:
             else:
                 l, r = self.basis.subtree_indices(index)
                 a, b = self.hall_image(l), self.hall_image(r)
-                im = t_add(self.mul(a, b), t_scale(self.mul(b, a), -1))
+                im = add_into(self.mul(a, b), self.mul(b, a), -1)
             self._hall_images[index] = im
             return im
 
@@ -143,7 +126,7 @@ class TensorContext:
             raise ValueError("element belongs to a different truncation")
         out: Tensor = {}
         for i, v in elt.coeffs.items():
-            out = t_add(out, t_scale(self.hall_image(i), v))
+            add_into(out, self.hall_image(i), v)
         return out
 
     def _solver(self, w: int) -> list:
@@ -167,8 +150,8 @@ class TensorContext:
                 for pw, pvec, pcombo in pivots:
                     cf = vec.get(pw)
                     if cf:
-                        _sub_into(vec, pvec, cf)
-                        _sub_into(combo, pcombo, cf)
+                        add_into(vec, pvec, -cf)
+                        add_into(combo, pcombo, -cf)
                 assert vec, f"Hall image {i} dependent on earlier ones"
                 pw = min(vec)
                 inv = 1 / vec[pw]
@@ -177,8 +160,8 @@ class TensorContext:
                 for opw, ovec, ocombo in pivots:
                     cf = ovec.get(pw)
                     if cf:
-                        _sub_into(ovec, vec, cf)
-                        _sub_into(ocombo, combo, cf)
+                        add_into(ovec, vec, -cf)
+                        add_into(ocombo, combo, -cf)
                 pivots.append((pw, vec, combo))
             self._solvers[w] = pivots
             return pivots
@@ -196,13 +179,8 @@ class TensorContext:
             for pw, pvec, pcombo in self._solver(w):
                 cf = residual.get(pw)
                 if cf:
-                    _sub_into(residual, pvec, cf)
-                    for i, cv in pcombo.items():
-                        nv = coeffs.get(i, 0) + cf * cv
-                        if nv:
-                            coeffs[i] = nv
-                        elif i in coeffs:
-                            del coeffs[i]
+                    add_into(residual, pvec, -cf)
+                    add_into(coeffs, pcombo, cf)
             if residual:
                 raise ValueError(
                     f"not a Lie element: weight-{w} part outside the Hall span"
@@ -217,19 +195,10 @@ class TensorContext:
         if () in t:
             raise ValueError("not a Lie element: constant term present")
         basis = self.basis
-        out = LieElement(basis, {})
+        out: dict[int, Fraction] = {}
         for wd, v in t.items():
             cur = LieElement(basis, {wd[-1] - 1: Fraction(v, len(wd))})
             for letter in reversed(wd[:-1]):
                 cur = LieElement(basis, {letter - 1: 1}).bracket(cur)
-            out = out + cur
-        return out
-
-
-def _sub_into(target: dict, src: dict, factor) -> None:
-    for k, v in src.items():
-        nv = target.get(k, 0) - factor * v
-        if nv:
-            target[k] = nv
-        elif k in target:
-            del target[k]
+            add_into(out, cur.coeffs)
+        return LieElement(basis, out)
