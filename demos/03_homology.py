@@ -1,7 +1,9 @@
 """Rational homology of free nilpotent Lie algebras.
 
 The chain complex is the exterior algebra with the Koszul boundary; it
-splits by total weight, so ranks are computed block by block with two
+splits by multidegree (letter content), and permuting the letters maps
+a block onto the block of the permuted multidegree.  So only one block
+per letter-permutation orbit is built, and its rank is computed with two
 independent exact elimination pipelines that must agree.
 """
 

@@ -4,8 +4,13 @@ C_n = Lambda^n g with the Koszul boundary
 
     d(V1 ^ ... ^ Vn) = sum_{i<j} (-1)^{i+j+1} [Vi,Vj] ^ V1 ^ ... Vi^ ... Vj^ ... ^ Vn
 
-which preserves the total bracket weight, so homology is computed one
-weight block at a time by exact rank.  On top of the plain boundary sits
+which preserves letter content: the complex splits into one block per
+multidegree (a vector counting each letter over the factors of a wedge).
+Permuting the letters is an automorphism of the free nilpotent Lie
+algebra, so blocks whose multidegrees agree after sorting have equal
+ranks.  Homology is computed by enumerating and ranking only the sorted
+representative of each letter-permutation orbit, exactly, and weighting
+it by the orbit's size.  On top of the plain boundary sits
 the extended differential: lift a degree-3 chain over g_k canonically to
 g_{k+1} (the Hall basis of g_k is a prefix of the Hall basis of g_{k+1}),
 take the boundary there, and reduce modulo the subspace spanned by
@@ -16,7 +21,9 @@ the d^2 differential of the homology of the central extension
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Iterator
 
 from .hall import HallBasis, LieElement, get_basis
@@ -142,72 +149,96 @@ def ce_boundary(chain: WedgeChain) -> WedgeChain:
     return res
 
 
-def wedge_tuples(
-    basis: HallBasis, degree: int, weight: int, start: int = 0
+def multidegree_wedges(
+    basis: HallBasis, degree: int, content: tuple[int, ...], start: int = 0
 ) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing index tuples of given degree and total weight."""
+    """Strictly increasing index tuples of given degree whose factors'
+    letter contents add up to `content`, all factors at index >= start."""
     if degree == 0:
+        if not any(content):
+            yield ()
+        return
+    weight = sum(content)
+    # indices are weight-sorted: the first factor is the lightest, and the
+    # others must fit under the class
+    lo = max(1, weight - basis.c * (degree - 1))
+    hi = min(weight // degree, basis.c)
+    if lo > hi:
+        return
+    contents = basis.contents
+    span = range(max(start, basis.weight_start[lo]), basis.weight_start[hi + 1])
+    if degree == 1:
+        for i in span:
+            if contents[i] == content:
+                yield (i,)
+        return
+    for i in span:
+        rest = tuple(a - b for a, b in zip(content, contents[i]))
+        if min(rest) < 0:
+            continue
+        for tail in multidegree_wedges(basis, degree - 1, rest, i + 1):
+            yield (i,) + tail
+
+
+def _sorted_contents(n: int, weight: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing length-n tuples of integers in 0..cap adding up to weight."""
+    if n == 0:
         if weight == 0:
             yield ()
         return
-    weights = basis.weights
-    for i in range(start, basis.dim):
-        wi = weights[i]
-        if wi * degree > weight:
-            break  # indices are weight-sorted: no completion can get lighter
-        if wi + basis.c * (degree - 1) < weight:
-            continue
-        for rest in wedge_tuples(basis, degree - 1, weight - wi, i + 1):
-            yield (i,) + rest
+    for first in range(min(weight, cap), -1, -1):
+        if first * n < weight:
+            break
+        for rest in _sorted_contents(n - 1, weight - first, first):
+            yield (first,) + rest
 
 
-def _count_wedges(basis: HallBasis, degree: int, weight: int) -> int:
-    # cheap DP count, used only for budget checks
-    from functools import lru_cache
-
-    weights = basis.weights
-    dim = basis.dim
-
-    @lru_cache(maxsize=None)
-    def cnt(start: int, deg: int, w: int) -> int:
-        if deg == 0:
-            return 1 if w == 0 else 0
-        total = 0
-        for i in range(start, dim):
-            if weights[i] * deg > w:
-                break
-            total += cnt(i + 1, deg - 1, w - weights[i])
-        return total
-
-    return cnt(0, degree, weight)
+def _orbits(n: int, max_weight: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(weight, orbit size, content) for each letter-permutation orbit of
+    length-n contents of weight <= max_weight, represented by its sorted
+    (non-increasing) member; the orbit size counts its distinct permutations."""
+    for w in range(max_weight + 1):
+        for content in _sorted_contents(n, w, w):
+            size = factorial(n)
+            for mult in Counter(content).values():
+                size //= factorial(mult)
+            yield w, size, content
 
 
-def _boundary_rows(
-    basis: HallBasis, degree: int, weight: int, budget: list[int]
-) -> list[dict[int, int]]:
-    """Columns of the weight-block boundary matrix, one sparse row dict per
-    degree-`degree` wedge, entries indexed by target wedge position."""
-    target_index: dict[tuple[int, ...], int] = {}
-    for t in wedge_tuples(basis, degree - 1, weight):
-        target_index[t] = len(target_index)
-        _spend(budget, 1)
+def _wedges(
+    basis: HallBasis, degree: int, content: tuple[int, ...], budget: list[int]
+) -> list[tuple[int, ...]]:
+    """The wedges of one multidegree block, each charged to the budget as it
+    is enumerated."""
+    out = []
+    for t in multidegree_wedges(basis, degree, content):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded(
+                "wedge enumeration exceeded the configured budget; "
+                "raise the budget to compute this block"
+            )
+        out.append(t)
+    return out
+
+
+def _block_rank(
+    basis: HallBasis, sources: list[tuple[int, ...]], targets: list[tuple[int, ...]]
+) -> int:
+    """Rank of the boundary from the wedges `sources` of one multidegree
+    block to the block's wedges `targets`, one degree lower."""
+    if not sources or not targets:
+        return 0
+    target_index = {t: i for i, t in enumerate(targets)}
+    chain = WedgeChain(basis, len(sources[0]))
     rows = []
-    chain = WedgeChain(basis, degree)
-    for t in wedge_tuples(basis, degree, weight):
-        _spend(budget, 1)
+    for t in sources:
         chain.terms = {t: 1}
-        img = ce_boundary(chain)
-        rows.append({target_index[u]: v for u, v in img.terms.items()})
-    return rows
-
-
-def _spend(budget: list[int], amount: int) -> None:
-    budget[0] -= amount
-    if budget[0] < 0:
-        raise BudgetExceeded(
-            "wedge enumeration exceeded the configured budget; "
-            "raise the budget to compute this block"
-        )
+        rows.append({target_index[u]: v for u, v in ce_boundary(chain).terms.items()})
+    r1 = rank_bareiss(rows)
+    r2 = rank_gauss(rows)
+    assert r1 == r2, f"elimination pipelines disagree on the block of {sources[0]}"
+    return r1
 
 
 def homology_dims(
@@ -216,47 +247,34 @@ def homology_dims(
     """Rational homology dimensions of the degree-(k-1) free nilpotent Lie
     algebra on 2g generators, for degrees 0..n_max.
 
+    The boundary preserves letter content, so the complex splits into one
+    subcomplex per multidegree, and a permutation of the letters (a Lie
+    algebra automorphism) carries each one isomorphically onto the
+    subcomplex of the permuted multidegree.  Only the sorted
+    representative of each orbit is enumerated and ranked; its homology
+    counts once per distinct permutation.  Every wedge enumerated is
+    charged to `budget`.
+
     Returns a list of dims, or (dims, tables) with per-weight detail.
     Both elimination pipelines are run on every block; a mismatch is a bug.
     """
     basis = get_basis(2 * g, k - 1)
     remaining = [budget]
-    max_w = basis.c * (n_max + 1)
-    rank_below: dict[tuple[int, int], int] = {}  # (degree, weight) -> rank d_degree
-    dims: list[int] = []
-    tables: list[dict[int, int]] = []
-    for n in range(n_max + 1):
-        total = 0
-        table: dict[int, int] = {}
-        for w in range(0, max_w + 1):
-            csize = _count_wedges(basis, n, w)
-            if csize == 0:
-                continue
-            r_n = rank_below.get((n, w))
-            if r_n is None:
-                r_n = _block_rank(basis, n, w, remaining) if n >= 1 else 0
-                rank_below[(n, w)] = r_n
-            r_up = _block_rank(basis, n + 1, w, remaining)
-            rank_below[(n + 1, w)] = r_up
-            h = csize - r_n - r_up
+    tables: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for w, orbit, content in _orbits(basis.n, basis.c * n_max):
+        cells = [_wedges(basis, d, content, remaining) for d in range(n_max + 2)]
+        # ranks[d] = rank of d_d on this block; d_0 = 0
+        ranks = [0] + [
+            _block_rank(basis, cells[d], cells[d - 1]) for d in range(1, n_max + 2)
+        ]
+        for n, table in enumerate(tables):
+            h = len(cells[n]) - ranks[n] - ranks[n + 1]
             if h:
-                table[w] = h
-            total += h
-        dims.append(total)
-        tables.append(table)
+                table[w] = table.get(w, 0) + orbit * h
+    dims = [sum(table.values()) for table in tables]
     if per_weight:
         return dims, tables
     return dims
-
-
-def _block_rank(basis: HallBasis, degree: int, weight: int, budget: list[int]) -> int:
-    if degree < 1 or _count_wedges(basis, degree, weight) == 0:
-        return 0
-    rows = _boundary_rows(basis, degree, weight, budget)
-    r1 = rank_bareiss(rows)
-    r2 = rank_gauss(rows)
-    assert r1 == r2, f"elimination pipelines disagree on block ({degree},{weight})"
-    return r1
 
 
 def c_mod_b_dim(g: int, k: int, budget: int = 2_000_000) -> int:
@@ -264,11 +282,11 @@ def c_mod_b_dim(g: int, k: int, budget: int = 2_000_000) -> int:
     basis = get_basis(2 * g, k - 1)
     remaining = [budget]
     total = 0
-    for w in range(3 * basis.c + 1):
-        csize = _count_wedges(basis, 3, w)
-        if csize == 0:
-            continue
-        total += csize - _block_rank(basis, 4, w, remaining)
+    for _, orbit, content in _orbits(basis.n, 3 * basis.c):
+        cells3 = _wedges(basis, 3, content, remaining)
+        if cells3:
+            cells4 = _wedges(basis, 4, content, remaining)
+            total += orbit * (len(cells3) - _block_rank(basis, cells4, cells3))
     return total
 
 

@@ -21,7 +21,6 @@ independently and check Witt's necklace count.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable
 
@@ -78,6 +77,11 @@ class HallBasis:
             _foliage(t): i for i, t in enumerate(self.trees)
         }
         assert len(self.index) == len(self.trees), "duplicate foliage in basis"
+        # letter content: contents[i][l] counts letter l+1 in the foliage of i
+        # (self.index lists foliages in index order)
+        self.contents: list[tuple[int, ...]] = [
+            tuple(f.count(letter) for letter in range(1, n + 1)) for f in self.index
+        ]
         self.dims: list[int] = [len(by_weight[w]) for w in range(1, c + 1)]
         self.weight_start: list[int] = [0] * (c + 2)
         for w in range(1, c + 1):
@@ -87,7 +91,6 @@ class HallBasis:
         self.dim = len(self.trees)
         self._brackets: dict[tuple[int, int], dict[int, int]] = {}
         self._in_progress: set[tuple[int, int]] = set()
-        self._lock = threading.RLock()
 
     def weight_range(self, w: int) -> range:
         return range(self.weight_start[w], self.weight_start[w + 1])
@@ -115,17 +118,6 @@ class HallBasis:
             return {}
         if self.weights[i] + self.weights[j] > self.c:
             return {}
-        cached = self._brackets.get((i, j))
-        if cached is not None:
-            return cached
-        with self._lock:
-            return self._bracket_locked(i, j)
-
-    def _bracket_locked(self, i: int, j: int) -> dict[int, int]:
-        if i == j:
-            return {}
-        if self.weights[i] + self.weights[j] > self.c:
-            return {}
         key = (i, j)
         cached = self._brackets.get(key)
         if cached is not None:
@@ -136,7 +128,7 @@ class HallBasis:
         try:
             fi, fj = _foliage(self.trees[i]), _foliage(self.trees[j])
             if fi > fj:
-                out = {k: -v for k, v in self._bracket_locked(j, i).items()}
+                out = {k: -v for k, v in self.bracket_indices(j, i).items()}
             else:
                 ti = self.trees[i]
                 if isinstance(ti, int) or _foliage(ti[1]) >= fj:
@@ -144,11 +136,11 @@ class HallBasis:
                 else:
                     i1, i2 = self.subtree_indices(i)
                     out = {}
-                    for m, cm in self._bracket_locked(i2, j).items():
-                        for k, v in self._bracket_locked(i1, m).items():
+                    for m, cm in self.bracket_indices(i2, j).items():
+                        for k, v in self.bracket_indices(i1, m).items():
                             out[k] = out.get(k, 0) + cm * v
-                    for m, cm in self._bracket_locked(i1, j).items():
-                        for k, v in self._bracket_locked(i2, m).items():
+                    for m, cm in self.bracket_indices(i1, j).items():
+                        for k, v in self.bracket_indices(i2, m).items():
                             out[k] = out.get(k, 0) - cm * v
                     out = {k: v for k, v in out.items() if v}
         finally:
@@ -164,18 +156,12 @@ class HallBasis:
 
 
 _basis_cache: dict[tuple[int, int], HallBasis] = {}
-_basis_lock = threading.Lock()
 
 
 def get_basis(n: int, c: int) -> HallBasis:
-    key = (n, c)
-    b = _basis_cache.get(key)
+    b = _basis_cache.get((n, c))
     if b is None:
-        with _basis_lock:
-            b = _basis_cache.get(key)
-            if b is None:
-                b = HallBasis(n, c)
-                _basis_cache[key] = b
+        b = _basis_cache[(n, c)] = HallBasis(n, c)
     return b
 
 

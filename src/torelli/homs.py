@@ -182,9 +182,6 @@ def morita(phi: MappingClassRep, k: int, epsilon: int) -> MoritaValue:
     z = act_on_chain(phi, c2) - c2
     d3 = bound_two_cycle(z)
     cycle = push(d3, ctx)
-    from .bar import bar_boundary
-
-    assert not bar_boundary(cycle), "pushed bounding chain must be a cycle"
     return MoritaValue(k, cycle, cap_d2(cycle, epsilon))
 
 

@@ -109,6 +109,16 @@ def test_abelian_homology_and_low_degrees():
     report("[PASS] abelian homology binomial, H0=1 and H1=2g for g<=3 k<=4")
 
 
+def test_degree4_homology_g2_k4():
+    t0 = time.monotonic()
+    dims, tables = homology_dims(2, 4, 4, per_weight=True)
+    assert dims == [1, 4, 60, 522, 2656]
+    assert tables[4] == {8: 630, 9: 1400, 10: 626}
+    elapsed = time.monotonic() - t0
+    assert elapsed < 145
+    report(f"[PASS] H_0..H_4 of the class-3 algebra on 4 letters: {dims} ({elapsed:.2f}s)")
+
+
 def test_group_model_axioms_and_multiplicativity():
     t0 = time.monotonic()
     for k in (2, 3, 4, 5):

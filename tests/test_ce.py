@@ -1,6 +1,9 @@
 """Exterior-algebra chains: Koszul boundary, homology, extended differential."""
 
 import random
+import time
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -11,8 +14,10 @@ from torelli.ce import (
     BudgetExceeded,
     WedgeChain,
     ce_boundary,
-    wedge_tuples,
-    _count_wedges,
+    multidegree_wedges,
+    _block_rank,
+    _orbits,
+    _wedges,
     homology_dims,
     c_mod_b_dim,
     lift_chain,
@@ -33,6 +38,47 @@ def random_chain(basis, degree, n_terms=4, span=None):
         tup = tuple(rng.sample(range(span), degree))
         terms[tup] = terms.get(tup, 0) + rng.randint(-3, 3)
     return WedgeChain(basis, degree, terms)
+
+
+def wedge_tuples(basis, degree, weight, start=0):
+    """Oracle: strictly increasing index tuples of given degree and total
+    weight, found without looking at letter content."""
+    if degree == 0:
+        if weight == 0:
+            yield ()
+        return
+    for i in range(start, basis.dim):
+        wi = basis.weights[i]
+        if wi * degree > weight:
+            break
+        for rest in wedge_tuples(basis, degree - 1, weight - wi, i + 1):
+            yield (i,) + rest
+
+
+def _count_wedges(basis, degree, weight):
+    """Oracle: number of wedges of given degree and total weight, by DP."""
+
+    @lru_cache(maxsize=None)
+    def cnt(start, deg, w):
+        if deg == 0:
+            return 1 if w == 0 else 0
+        return sum(
+            cnt(i + 1, deg - 1, w - basis.weights[i])
+            for i in range(start, basis.dim)
+            if basis.weights[i] * deg <= w
+        )
+
+    return cnt(0, degree, weight)
+
+
+def compositions(n, weight):
+    """Every length-n tuple of nonnegative integers adding up to weight."""
+    if n == 1:
+        yield (weight,)
+        return
+    for first in range(weight + 1):
+        for rest in compositions(n - 1, weight - first):
+            yield (first,) + rest
 
 
 def index_of(basis, foliage):
@@ -114,6 +160,56 @@ def test_wedge_tuples_counted_exactly():
             )
 
 
+def test_multidegree_blocks_partition_weight_blocks():
+    for n in (2, 4):
+        for c in (1, 2, 3):
+            b = get_basis(n, c)
+            for degree in range(5):
+                for w in range(c * degree + 1):
+                    found = []
+                    for content in compositions(n, w):
+                        block = list(multidegree_wedges(b, degree, content))
+                        assert all(
+                            tuple(map(sum, zip(*(b.contents[i] for i in t)))) == content
+                            for t in block
+                            if t
+                        )
+                        found += block
+                    assert sorted(found) == list(wedge_tuples(b, degree, w)), (n, c, degree, w)
+                    assert len(found) == _count_wedges(b, degree, w)
+
+
+def test_orbits_cover_every_multidegree_once():
+    for n in (2, 4, 6):
+        reps_by_weight = {}
+        for w, size, content in _orbits(n, 7):
+            assert list(content) == sorted(content, reverse=True) and sum(content) == w
+            assert size == len(set(permutations(content)))
+            reps_by_weight.setdefault(w, []).append(size)
+        for w in range(8):
+            assert sum(reps_by_weight[w]) == len(list(compositions(n, w)))
+
+
+def test_permuted_block_has_representative_rank():
+    b = get_basis(4, 3)
+    budget = [10**6]
+    nonzero = 0
+    for rep in ((2, 1, 1, 0), (2, 2, 1, 0), (2, 1, 1, 1), (2, 2, 1, 1)):
+        for degree in (2, 3, 4):
+            expect = _block_rank(
+                b, _wedges(b, degree, rep, budget), _wedges(b, degree - 1, rep, budget)
+            )
+            nonzero += expect > 0
+            for content in set(permutations(rep)) - {rep}:
+                got = _block_rank(
+                    b,
+                    _wedges(b, degree, content, budget),
+                    _wedges(b, degree - 1, content, budget),
+                )
+                assert got == expect, (rep, content, degree)
+    assert nonzero >= 6
+
+
 def test_homology_dims_abelian():
     # abelian case: zero differential, so H_n = Lambda^n of a 4-dim space
     assert homology_dims(2, 2, 4) == [1, 4, 6, 4, 1]
@@ -135,6 +231,13 @@ def test_homology_dims_frozen_g2_k3():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         homology_dims(2, 4, 3, budget=50)
+
+
+def test_budget_spent_while_enumerating():
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        homology_dims(2, 4, 4, budget=2_000)
+    assert time.monotonic() - t0 < 1
 
 
 def test_c_mod_b_dim_frozen():
