@@ -1,8 +1,9 @@
 """Normalized bar chains over the surface group and its nilpotent quotients.
 
 Chains are finite integer combinations of tuples of group labels with no
-identity entries (the normalized complex).  Two label kinds are supported:
-free-group words and truncated-group elements.  The module provides
+identity entries (the normalized complex).  A chain's label group is its
+`ctx`: None for free-group words, or the MalcevContext of a truncation
+Gamma_k for its elements.  The module provides
 
   * the fundamental 2-chain C with dC = -[l] built from a staircase,
   * a constructive bounding algorithm for 2-cycles of the free group,
@@ -16,17 +17,13 @@ free-group words and truncated-group elements.  The module provides
 
 from __future__ import annotations
 
-import threading
-
 from .hall import LieElement, get_basis
 from .malcev import MalcevContext, NilElement
 from .sparse import SparseChain, add_into, collect
-from .words import Word, apply_endo, boundary_word, word
+from .words import Word, apply_endo, boundary_word, format_word, word
 
 __all__ = [
     "BarChain",
-    "WORD_LABELS",
-    "NilLabels",
     "bar_chain",
     "bar_boundary",
     "staircase",
@@ -48,64 +45,39 @@ __all__ = [
 _EMPTY = word("")
 
 
-class WordLabels:
-    """Label operations for free-group words."""
-
-    kind = "word"
-
-    @staticmethod
-    def mul(a: Word, b: Word) -> Word:
-        return a * b
-
-    @staticmethod
-    def is_id(a: Word) -> bool:
-        return not a.letters
-
-
-WORD_LABELS = WordLabels()
-
-
-class NilLabels:
-    """Label operations for elements of a fixed truncation Gamma_k."""
-
-    kind = "nil"
-
-    def __init__(self, ctx: MalcevContext):
-        self.ctx = ctx
-
-    @staticmethod
-    def mul(a: NilElement, b: NilElement) -> NilElement:
-        return a * b
-
-    @staticmethod
-    def is_id(a: NilElement) -> bool:
-        return a.is_identity()
-
-
 class BarChain(SparseChain):
-    """Sparse normalized bar chain: tuples of non-identity labels -> int."""
+    """Sparse normalized bar chain: tuples of non-identity labels -> int.
 
-    __slots__ = ("ops",)
+    `ctx` is the label group: None for free-group words, otherwise the
+    context of the truncation whose elements label the chain.
+    """
 
-    def __init__(self, degree: int, ops, terms: dict | None = None):
+    __slots__ = ("ctx",)
+
+    def __init__(self, degree: int, ctx: MalcevContext | None, terms: dict | None = None):
         self.degree = degree
-        self.ops = ops
+        self.ctx = ctx
         self.terms: dict[tuple, int] = {}
         for tup, coeff in (terms or {}).items():
             if not coeff:
                 continue
             if len(tup) != degree:
                 raise ValueError("tuple of wrong degree")
-            if not any(ops.is_id(x) for x in tup):
+            if not any(x.is_identity() for x in tup):
                 self.terms[tup] = coeff
 
     def _like(self) -> "BarChain":
-        return BarChain(self.degree, self.ops)
+        return BarChain(self.degree, self.ctx)
+
+    def _check(self, other: "BarChain") -> None:
+        super()._check(other)
+        if self.ctx is not other.ctx:
+            raise ValueError(f"mixed label groups: {self.ctx!r} vs {other.ctx!r}")
 
 
-def bar_chain(degree: int, items, ops=WORD_LABELS) -> BarChain:
+def bar_chain(degree: int, items, ctx: MalcevContext | None = None) -> BarChain:
     """Build a chain from (tuple, coeff) pairs, normalizing as it goes."""
-    return BarChain(degree, ops, collect(items))
+    return BarChain(degree, ctx, collect(items))
 
 
 def bar_boundary(chain: BarChain) -> BarChain:
@@ -113,11 +85,10 @@ def bar_boundary(chain: BarChain) -> BarChain:
     Faces that produce an identity label are dropped (normalization)."""
     if chain.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    ops = chain.ops
     out: dict[tuple, int] = {}
 
     def put(tup: tuple, v: int) -> None:
-        if any(ops.is_id(x) for x in tup):
+        if any(x.is_identity() for x in tup):
             return
         nv = out.get(tup, 0) + v
         if nv:
@@ -130,11 +101,11 @@ def bar_boundary(chain: BarChain) -> BarChain:
         put(tup[1:], coeff)
         sign = -1
         for i in range(n - 1):
-            merged = tup[:i] + (ops.mul(tup[i], tup[i + 1]),) + tup[i + 2 :]
+            merged = tup[:i] + (tup[i] * tup[i + 1],) + tup[i + 2 :]
             put(merged, sign * coeff)
             sign = -sign
         put(tup[:-1], sign * coeff)
-    res = BarChain(chain.degree - 1, ops)
+    res = BarChain(chain.degree - 1, chain.ctx)
     res.terms = out
     return res
 
@@ -270,21 +241,12 @@ class ComparisonHomotopy:
     u(g, tup) = g . u(e, tup).  Being equivariant it descends to
     coinvariant (plain bar) chains, where it bounds 2-cycles: for dz = 0
     in degree 2, d(-u z) = z because the Fox resolution stops there.
-    The memo table is shared and lock-protected.
     """
 
     def __init__(self):
         self._memo: dict[tuple, ResolutionElement] = {}
-        self._lock = threading.RLock()
 
     def of_tuple(self, tup: tuple) -> ResolutionElement:
-        got = self._memo.get(tup)
-        if got is not None:
-            return got
-        with self._lock:
-            return self._of_tuple_locked(tup)
-
-    def _of_tuple_locked(self, tup: tuple) -> ResolutionElement:
         got = self._memo.get(tup)
         if got is not None:
             return got
@@ -312,7 +274,7 @@ def bound_two_cycle(z: BarChain) -> BarChain:
     Lifts z to translate-identity resolution elements, applies -u, and
     reads the result back as a plain chain.
     """
-    if z.degree != 2 or z.ops.kind != "word":
+    if z.degree != 2 or z.ctx is not None:
         raise ValueError("bounding needs a degree-2 chain over free-group words")
     if bar_boundary(z):
         raise ValueError("input chain is not a cycle")
@@ -324,7 +286,7 @@ def bound_two_cycle(z: BarChain) -> BarChain:
 
 def act_on_chain(phi, chain: BarChain) -> BarChain:
     """Entrywise action of an endomorphism on a word-labeled chain."""
-    if chain.ops.kind != "word":
+    if chain.ctx is not None:
         raise ValueError("entrywise action is defined on word labels")
     items = [
         (tuple(apply_endo(phi, x) for x in tup), coeff)
@@ -336,14 +298,13 @@ def act_on_chain(phi, chain: BarChain) -> BarChain:
 def push(chain: BarChain, ctx: MalcevContext) -> BarChain:
     """Relabel a word chain into Gamma_k; tuples acquiring an identity
     entry are dropped.  This is a chain map onto normalized chains."""
-    if chain.ops.kind != "word":
+    if chain.ctx is not None:
         raise ValueError("push starts from word labels")
-    ops = NilLabels(ctx)
     items = [
         (tuple(ctx.element(x) for x in tup), coeff)
         for tup, coeff in chain.terms.items()
     ]
-    return bar_chain(chain.degree, items, ops)
+    return bar_chain(chain.degree, items, ctx)
 
 
 def antisym_cycle(x: NilElement, y: NilElement, z: NilElement) -> BarChain:
@@ -360,7 +321,7 @@ def antisym_cycle(x: NilElement, y: NilElement, z: NilElement) -> BarChain:
     ):
         trip = (x, y, z)
         items.append((tuple(trip[i] for i in perm), sign))
-    return bar_chain(3, items, NilLabels(x.ctx))
+    return bar_chain(3, items, x.ctx)
 
 
 def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
@@ -372,13 +333,13 @@ def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
     summed over terms.  Returns one weight-k Lie element per generator
     slot.  Boundaries map to zero, so this is well defined on homology.
     """
-    if z.degree != 3 or z.ops.kind != "nil":
+    if z.degree != 3 or z.ctx is None:
         raise ValueError("cap needs a degree-3 chain over a truncated group")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     if bar_boundary(z):
         raise ValueError("input chain is not a cycle")
-    ctx = z.ops.ctx
+    ctx = z.ctx
     slots: list[dict] = [{} for _ in range(ctx.n)]
     for (g1, g2, g3), coeff in z.terms.items():
         coc = ctx.cocycle(g2, g3)
@@ -396,21 +357,11 @@ def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
 def chain_to_jsonable(chain: BarChain) -> list:
     """Stable JSON form: list of {labels, coeff}, labels as word strings
     or as integer exponent vectors, sorted for determinism."""
-    from .words import format_word
-
-    rows = []
-    if chain.ops.kind == "word":
-        for tup, coeff in chain.terms.items():
-            rows.append({"labels": [format_word(x) for x in tup], "coeff": coeff})
-        rows.sort(key=lambda r: r["labels"])
-    else:
-        ctx = chain.ops.ctx
-        for tup, coeff in chain.terms.items():
-            rows.append(
-                {
-                    "labels": [list(ctx.normal_form(x)) for x in tup],
-                    "coeff": coeff,
-                }
-            )
-        rows.sort(key=lambda r: r["labels"])
+    ctx = chain.ctx
+    label = format_word if ctx is None else (lambda x: list(ctx.normal_form(x)))
+    rows = [
+        {"labels": [label(x) for x in tup], "coeff": coeff}
+        for tup, coeff in chain.terms.items()
+    ]
+    rows.sort(key=lambda r: r["labels"])
     return rows

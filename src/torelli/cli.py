@@ -232,7 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# least value of each numeric argument, checked before any computation
+ARG_MINIMA = {"g": 1, "k": 2, "nmax": 0}
+
+
 def run(args: argparse.Namespace) -> int:
+    for name, least in ARG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{name} must be >= {least}, got {value}")
     conf = load_config(args.config)
 
     if args.command == "hall-dims":

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .sparse import add_into, collect
 
-__all__ = ["HallBasis", "get_basis", "LieElement", "lie_zero", "lie_generator"]
+__all__ = ["HallBasis", "get_basis", "LieElement", "lie_generator"]
 
 Tree = int | tuple  # leaf letter (1-based) or (left, right)
 
@@ -224,12 +224,6 @@ class LieElement:
     def is_integral(self) -> bool:
         return all(Fraction(v).denominator == 1 for v in self.coeffs.values())
 
-    def restrict_to(self, basis: HallBasis) -> "LieElement":
-        """Truncate to a smaller class (indices are stable across classes)."""
-        if basis.c > self.basis.c:
-            raise ValueError("can only restrict to a smaller class")
-        return LieElement(basis, {i: v for i, v in self.coeffs.items() if i < basis.dim})
-
     def lift_to(self, basis: HallBasis) -> "LieElement":
         """Reinterpret in a larger class (zero in the new weights)."""
         if basis.c < self.basis.c:
@@ -259,10 +253,6 @@ class LieElement:
         for i in sorted(self.coeffs):
             bits.append(f"{self.coeffs[i]}*{self.basis.name(i)}")
         return " + ".join(bits)
-
-
-def lie_zero(basis: HallBasis) -> LieElement:
-    return LieElement(basis, {})
 
 
 def lie_generator(basis: HallBasis, letter: int) -> LieElement:

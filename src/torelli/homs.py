@@ -34,7 +34,16 @@ from .malcev import (
     induced_lie_auto,
 )
 from .sparse import add_into
-from .words import MappingClassRep, Word, apply_endo, catalog, compose, h_action, word
+from .words import (
+    MappingClassRep,
+    Word,
+    apply_endo,
+    catalog,
+    compose,
+    generator_name,
+    h_action,
+    word,
+)
 
 __all__ = [
     "JohnsonValue",
@@ -141,8 +150,6 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     for i, diff in enumerate(_difference_words(phi)):
         lw = ctx.log_word(diff)
         if lw.coeffs and lw.min_weight() < k:
-            from .words import generator_name
-
             raise ValueError(
                 f"mapping class is not in the level-{k} Torelli group: "
                 f"log(phi(x) x^-1) has weight-{lw.min_weight()} terms "
@@ -225,8 +232,6 @@ def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs):
         "cycle_terms": len(mv.cycle),
     }
     if not ok:
-        from .words import generator_name
-
         report["difference"] = {
             generator_name(i + 1): {
                 jv.values[0].basis.name(j): str(c) for j, c in v.coeffs.items()
@@ -420,8 +425,6 @@ def calibrate_delta(epsilon: int, g: int = 2) -> int:
 
 
 def tensor_to_jsonable(t: tuple[LieElement, ...]) -> dict:
-    from .words import generator_name
-
     out = {}
     for i, v in enumerate(t):
         basis = v.basis

@@ -20,13 +20,12 @@ weight-k lattice L_{k+1}.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .hall import HallBasis, LieElement, get_basis
 from .sparse import add_into
 from .tensor import TensorContext
-from .words import Endomorphism, MappingClassRep, Word, apply_endo, generator
+from .words import Endomorphism, Word, apply_endo, generator
 
 __all__ = [
     "MalcevContext",
@@ -116,7 +115,6 @@ class MalcevContext:
         self.c = k - 1
         self.basis: HallBasis = get_basis(n, self.c)
         self.tc = TensorContext(self.basis)
-        self._lock = threading.RLock()
         self._word_group: dict[Word, dict] = {}
         self._log_word: dict[Word, LieElement] = {}
         self._basic_words: dict[int, Word] = {}
@@ -148,18 +146,16 @@ class MalcevContext:
             if hit is not None:
                 start, t = j, hit
                 break
-        with self._lock:
-            for j in range(start, len(letters)):
-                t = self.tc.mul(t, self._exp_letter(letters[j]))
-                self._word_group.setdefault(Word.make(letters[: j + 1]), t)
+        for j in range(start, len(letters)):
+            t = self.tc.mul(t, self._exp_letter(letters[j]))
+            self._word_group[Word.make(letters[: j + 1])] = t
         return t
 
     def log_word(self, w: Word) -> LieElement:
         cached = self._log_word.get(w)
         if cached is None:
             cached = self.tc.to_lie(self.tc.log(self.word_group(w)))
-            with self._lock:
-                self._log_word[w] = cached
+            self._log_word[w] = cached
         return cached
 
     def element(self, w: Word) -> NilElement:
@@ -264,8 +260,7 @@ class MalcevContext:
         cached = self._nf_product.get(key)
         if cached is None:
             cached = self.normal_form(self.from_normal_form(nf1) * self.from_normal_form(nf2))
-            with self._lock:
-                self._nf_product[key] = cached
+            self._nf_product[key] = cached
         return cached
 
     def section(self, x: NilElement) -> NilElement:
@@ -286,8 +281,7 @@ class MalcevContext:
         val = up.tc.to_lie(up.tc.log(t))
         assert val == val.weight_part(self.k), "cocycle not concentrated in weight k"
         assert val.is_integral(), "cocycle left the integral lattice"
-        with self._lock:
-            self._cocycle[key] = val
+        self._cocycle[key] = val
         return val
 
     # -- induced maps --------------------------------------------------------
@@ -320,18 +314,12 @@ class MalcevContext:
 
 
 _contexts: dict[tuple[int, int], MalcevContext] = {}
-_ctx_lock = threading.Lock()
 
 
 def get_context(n: int, k: int) -> MalcevContext:
-    key = (n, k)
-    ctx = _contexts.get(key)
+    ctx = _contexts.get((n, k))
     if ctx is None:
-        with _ctx_lock:
-            ctx = _contexts.get(key)
-            if ctx is None:
-                ctx = MalcevContext(n, k)
-                _contexts[key] = ctx
+        ctx = _contexts[(n, k)] = MalcevContext(n, k)
     return ctx
 
 

@@ -13,7 +13,6 @@ by the weight (kept as a cross-check).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
 
@@ -37,7 +36,6 @@ class TensorContext:
         self.n = basis.n
         self._hall_images: dict[int, Tensor] = {}
         self._solvers: dict[int, list] = {}
-        self._lock = threading.RLock()
 
     # -- algebra ----------------------------------------------------------
 
@@ -96,30 +94,21 @@ class TensorContext:
             add_into(out, pw)
         return out
 
-    def generator(self, letter: int) -> Tensor:
-        if not 1 <= letter <= self.n:
-            raise ValueError(f"letter {letter} out of range")
-        return {(letter,): 1}
-
     # -- Hall basis <-> tensors --------------------------------------------
 
     def hall_image(self, index: int) -> Tensor:
         im = self._hall_images.get(index)
         if im is not None:
             return im
-        with self._lock:
-            im = self._hall_images.get(index)
-            if im is not None:
-                return im
-            tree = self.basis.trees[index]
-            if isinstance(tree, int):
-                im = {(tree,): 1}
-            else:
-                l, r = self.basis.subtree_indices(index)
-                a, b = self.hall_image(l), self.hall_image(r)
-                im = add_into(self.mul(a, b), self.mul(b, a), -1)
-            self._hall_images[index] = im
-            return im
+        tree = self.basis.trees[index]
+        if isinstance(tree, int):
+            im = {(tree,): 1}
+        else:
+            l, r = self.basis.subtree_indices(index)
+            a, b = self.hall_image(l), self.hall_image(r)
+            im = add_into(self.mul(a, b), self.mul(b, a), -1)
+        self._hall_images[index] = im
+        return im
 
     def from_lie(self, elt: LieElement) -> Tensor:
         if elt.basis is not self.basis and (elt.basis.n, elt.basis.c) != (self.n, self.c):
@@ -139,32 +128,28 @@ class TensorContext:
         cached = self._solvers.get(w)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._solvers.get(w)
-            if cached is not None:
-                return cached
-            pivots: list = []
-            for i in self.basis.weight_range(w):
-                vec = {wd: Fraction(v) for wd, v in self.hall_image(i).items()}
-                combo = {i: Fraction(1)}
-                for pw, pvec, pcombo in pivots:
-                    cf = vec.get(pw)
-                    if cf:
-                        add_into(vec, pvec, -cf)
-                        add_into(combo, pcombo, -cf)
-                assert vec, f"Hall image {i} dependent on earlier ones"
-                pw = min(vec)
-                inv = 1 / vec[pw]
-                vec = {k: v * inv for k, v in vec.items()}
-                combo = {k: v * inv for k, v in combo.items()}
-                for opw, ovec, ocombo in pivots:
-                    cf = ovec.get(pw)
-                    if cf:
-                        add_into(ovec, vec, -cf)
-                        add_into(ocombo, combo, -cf)
-                pivots.append((pw, vec, combo))
-            self._solvers[w] = pivots
-            return pivots
+        pivots: list = []
+        for i in self.basis.weight_range(w):
+            vec = {wd: Fraction(v) for wd, v in self.hall_image(i).items()}
+            combo = {i: Fraction(1)}
+            for pw, pvec, pcombo in pivots:
+                cf = vec.get(pw)
+                if cf:
+                    add_into(vec, pvec, -cf)
+                    add_into(combo, pcombo, -cf)
+            assert vec, f"Hall image {i} dependent on earlier ones"
+            pw = min(vec)
+            inv = 1 / vec[pw]
+            vec = {k: v * inv for k, v in vec.items()}
+            combo = {k: v * inv for k, v in combo.items()}
+            for opw, ovec, ocombo in pivots:
+                cf = ovec.get(pw)
+                if cf:
+                    add_into(ovec, vec, -cf)
+                    add_into(ocombo, combo, -cf)
+            pivots.append((pw, vec, combo))
+        self._solvers[w] = pivots
+        return pivots
 
     def to_lie(self, t: Tensor) -> LieElement:
         """Hall coordinates of a primitive (Lie) tensor; rejects non-Lie input."""

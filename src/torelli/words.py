@@ -18,7 +18,6 @@ equal words are the same object and hashing is cheap.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -57,16 +56,18 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_MAKE = object()  # Word.make's token: direct construction would skip interning
+
+
 class Word:
     """A reduced word in the free group, interned."""
 
     __slots__ = ("letters", "_hash")
 
     _intern: dict[tuple[int, ...], "Word"] = {}
-    _lock = threading.Lock()
 
     def __init__(self, letters: tuple[int, ...], _token: object = None):
-        if _token is not Word._lock:
+        if _token is not _MAKE:
             raise TypeError("use word(...) to build words")
         self.letters = letters
         self._hash = hash(letters)
@@ -74,14 +75,9 @@ class Word:
     @staticmethod
     def make(letters: Iterable[int]) -> "Word":
         key = _reduce(letters)
-        table = Word._intern
-        w = table.get(key)
+        w = Word._intern.get(key)
         if w is None:
-            with Word._lock:
-                w = table.get(key)
-                if w is None:
-                    w = Word(key, Word._lock)
-                    table[key] = w
+            w = Word._intern[key] = Word(key, _MAKE)
         return w
 
     def __mul__(self, other: "Word") -> "Word":
@@ -114,6 +110,9 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
+    def is_identity(self) -> bool:
+        return not self.letters
+
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Word) and self.letters == other.letters)
 
@@ -122,11 +121,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"word({format_word(self)!r})" if self.letters else "word('')"
-
-    def prefixes(self) -> Iterator["Word"]:
-        """All proper prefixes, shortest first (reduced words: prefixes are reduced)."""
-        for i in range(len(self.letters)):
-            yield Word.make(self.letters[:i])
 
 
 def word(letters: Iterable[int] | str) -> Word:
@@ -213,6 +207,8 @@ class MappingClassRep(Endomorphism):
 
     The inverse images are caller-supplied data; verify_mapping_class checks
     that both compositions are the identity and that ell is fixed exactly.
+    Equality and hashing are inherited: the name and the inverse data are
+    bookkeeping, the automorphism is its images.
     """
 
     __slots__ = ("inverse_images", "name")
@@ -237,17 +233,6 @@ class MappingClassRep(Endomorphism):
         if self.name:
             nm = " ".join(_invert_token(t) for t in reversed(self.name.split()))
         return MappingClassRep(self.g, self.inverse_images, self.images, nm)
-
-    def __eq__(self, other: object) -> bool:
-        # name and inverse data are bookkeeping; the automorphism is its images
-        return (
-            isinstance(other, Endomorphism)
-            and self.g == other.g
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.images))
 
     def __repr__(self) -> str:
         return f"MappingClassRep(g={self.g}, name={self.name!r})"
@@ -325,10 +310,6 @@ def h_action(phi: Endomorphism) -> tuple[tuple[int, ...], ...]:
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _sub(images: tuple[Word, ...], w: Word) -> Word:
-    return apply_endo(Endomorphism(len(images) // 2, images), w)
 
 
 def catalog(g: int) -> dict[str, MappingClassRep]:

@@ -9,8 +9,6 @@ from torelli.words import Word, word, generator, boundary_word, catalog, compose
 from torelli.hall import get_basis
 from torelli.malcev import get_context
 from torelli.bar import (
-    WORD_LABELS,
-    NilLabels,
     BarChain,
     bar_chain,
     bar_boundary,
@@ -74,13 +72,12 @@ def test_boundary_squared_is_zero():
         z = random_bar_chain(3)
         assert not bar_boundary(bar_boundary(z))
     ctx = get_context(4, 3)
-    ops = NilLabels(ctx)
     for _ in range(5):
         items = {}
         for _ in range(4):
             tup = tuple(ctx.element(random_word()) for _ in range(3))
             items[tup] = items.get(tup, 0) + rng.randint(-2, 2)
-        z = BarChain(3, ops, items)
+        z = BarChain(3, ctx, items)
         assert not bar_boundary(bar_boundary(z))
 
 
@@ -239,7 +236,6 @@ def test_antisym_cycle():
 def test_cap_kills_boundaries():
     for k in (2, 3):
         ctx = get_context(4, k)
-        ops = NilLabels(ctx)
         for _ in range(8):
             items = {}
             for _ in range(3):
@@ -247,7 +243,7 @@ def test_cap_kills_boundaries():
                 if any(x.is_identity() for x in tup):
                     continue
                 items[tup] = items.get(tup, 0) + rng.randint(-2, 2)
-            b = bar_boundary(BarChain(4, ops, items))
+            b = bar_boundary(BarChain(4, ctx, items))
             assert all(not s for s in cap_d2(b, -1))
 
 
@@ -257,9 +253,39 @@ def test_cap_validates_input():
     cyc = antisym_cycle(x, y, z)
     with pytest.raises(ValueError):
         cap_d2(cyc, 2)
-    not_cycle = BarChain(3, NilLabels(ctx), {(x, y, z): 1})
+    not_cycle = BarChain(3, ctx, {(x, y, z): 1})
     with pytest.raises(ValueError):
         cap_d2(not_cycle, 1)
+
+
+def test_chains_over_different_label_groups_do_not_mix():
+    a, b = word("a1"), word("b1")
+    words = bar_chain(2, [((a, b), 1)])
+    for other in (push(words, get_context(4, 3)), push(words, get_context(4, 2))):
+        for left, right in ((words, other), (other, words)):
+            with pytest.raises(ValueError, match="mixed label groups"):
+                left + right
+            with pytest.raises(ValueError, match="mixed label groups"):
+                left - right
+            with pytest.raises(ValueError, match="mixed label groups"):
+                left == right
+    with pytest.raises(ValueError, match="mixed label groups"):
+        push(words, get_context(4, 2)) + push(words, get_context(4, 3))
+
+
+def test_label_group_is_checked_on_entry():
+    C = fundamental_two_chain(2)
+    ctx = get_context(4, 3)
+    z = act_on_chain(catalog(2)["sep1"], C) - C
+    d3 = bound_two_cycle(z)
+    with pytest.raises(ValueError, match="free-group words"):
+        bound_two_cycle(push(z, ctx))
+    with pytest.raises(ValueError, match="word labels"):
+        act_on_chain(catalog(2)["t1"], push(C, ctx))
+    with pytest.raises(ValueError, match="word labels"):
+        push(push(C, ctx), ctx)
+    with pytest.raises(ValueError, match="truncated group"):
+        cap_d2(d3, 1)
 
 
 def test_cap_pipeline_values():

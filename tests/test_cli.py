@@ -55,6 +55,28 @@ def test_homology(capsys, tmp_path):
     assert blob["weights"]["2"] == {"3": 20}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["log", "--g", "2", "--k", "1", "--word", "a1"], "--k"),
+        (["homology", "--g", "2", "--k", "1", "--nmax", "2"], "--k"),
+        (["homology", "--g", "0", "--k", "3", "--nmax", "2"], "--g"),
+        (["homology", "--g", "2", "--k", "3", "--nmax", "-1"], "--nmax"),
+        (["cmodb-dim", "--g", "2", "--k", "1"], "--k"),
+        (["johnson", "--g", "2", "--k", "1", "--auto", "catalog:sep1"], "--k"),
+        (["johnson", "--g", "0", "--k", "3", "--auto", "catalog:sep1"], "--g"),
+    ],
+    ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
+         "johnson-k1", "johnson-g0"],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
+    conf = str(tmp_path / "t.conf")
+    code, out, err = run_cli(capsys, "--config", conf, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be >=" in err
+
+
 def test_homology_budget_exhaustion(capsys, tmp_path):
     conf = tmp_path / "t.conf"
     conf.write_text("budget_wedges=10\n")
@@ -214,6 +236,21 @@ def test_morita(capsys, tmp_path, calibrated_config):
         "morita", "--g", "2", "--k", "3", "--auto", "catalog:sep1", "--cycle",
     )
     assert len(blob["cycle"]) == 28
+
+
+def test_morita_chain_term_budget(capsys, tmp_path, calibrated_config):
+    conf = tmp_path / "budget.conf"
+    lines = open(calibrated_config).read().splitlines()
+    lines = [ln for ln in lines if not ln.startswith("budget_chain_terms=")]
+    conf.write_text("\n".join(lines + ["budget_chain_terms=10"]) + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(conf),
+        "morita", "--g", "2", "--k", "3", "--auto", "catalog:conj_l",
+    )
+    assert code == 2
+    assert out == ""
+    assert "158 terms" in err and "budget_chain_terms" in err
 
 
 def test_morita_requires_calibration(capsys, tmp_path):
