@@ -116,8 +116,15 @@ def resolve_auto(spec: str, g: int) -> MappingClassRep:
     )
 
 
+def _catalog(g: int) -> dict[str, MappingClassRep]:
+    try:
+        return catalog(g)
+    except ValueError as exc:
+        raise UsageError(f"--g must be >= 2 for catalog mapping classes, got {g}") from exc
+
+
 def _suite_line(line: str, g: int) -> MappingClassRep:
-    cat = catalog(g)
+    cat = _catalog(g)
     rep = None
     for token in line.split():
         name, _, power = token.partition("^")
@@ -241,6 +248,9 @@ def run(args: argparse.Namespace) -> int:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name} must be >= {least}, got {value}")
+    if args.command == "calibrate" and args.g < 2:
+        # calibration caps cycles on generator triples, which need genus >= 2
+        raise UsageError(f"--g must be >= 2 for calibration, got {args.g}")
     conf = load_config(args.config)
 
     if args.command == "hall-dims":
@@ -354,7 +364,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "search-torelli":
-        cat = catalog(args.g)
+        cat = _catalog(args.g)
         if args.generators:
             names = [s.strip() for s in args.generators.split(",") if s.strip()]
             bad = [s for s in names if s not in cat]

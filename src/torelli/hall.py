@@ -222,7 +222,7 @@ class LieElement:
         return min(self.basis.weight_of(i) for i in self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(Fraction(v).denominator == 1 for v in self.coeffs.values())
+        return all(v.denominator == 1 for v in self.coeffs.values())
 
     def lift_to(self, basis: HallBasis) -> "LieElement":
         """Reinterpret in a larger class (zero in the new weights)."""
@@ -242,9 +242,8 @@ class LieElement:
         return bool(self.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.basis.n, self.basis.c, tuple(sorted(
-            (i, Fraction(v)) for i, v in self.coeffs.items()
-        ))))
+        # hash(Fraction(2)) == hash(2), so equal coefficients hash alike
+        return hash((self.basis.n, self.basis.c, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -84,9 +84,6 @@ class NilElement:
     def is_identity(self) -> bool:
         return len(self.tensor) == 1
 
-    def _key(self):
-        return tuple(sorted((w, Fraction(v)) for w, v in self.tensor.items()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NilElement):
             return NotImplemented
@@ -97,7 +94,8 @@ class NilElement:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ctx.n, self.ctx.k, self._key()))
+            # hash(Fraction(2)) == hash(2), so equal tensors hash alike
+            self._hash = hash((self.ctx.n, self.ctx.k, frozenset(self.tensor.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -120,7 +118,6 @@ class MalcevContext:
         self._basic_words: dict[int, Word] = {}
         self._basic_logs: dict[int, LieElement] = {}
         self._cocycle: dict[tuple, LieElement] = {}
-        self._nf_product: dict[tuple, tuple] = {}
         self._letter_exp: dict[int, dict] = {}
 
     # -- group elements from words -----------------------------------------
@@ -210,6 +207,9 @@ class MalcevContext:
     def normal_form(self, x: NilElement) -> tuple[int, ...]:
         """Integer exponents of the collected form prod_i basic(i)^{e_i}.
 
+        Peels weight by weight: before weight w the remainder is 1 plus
+        words of length >= w, so its weight-w words are the weight-w part
+        of its log, and their Hall coordinates are the weight-w exponents.
         Raises if x is not in the integral lattice Gamma_k.
         """
         if x._nf is not None:
@@ -217,14 +217,11 @@ class MalcevContext:
         exps: list[int] = [0] * self.basis.dim
         rem = x.tensor
         for w in range(1, self.c + 1):
-            lw = self.tc.log(rem)
-            part = {wd: v for wd, v in lw.items() if len(wd) == w}
-            coords = self.tc.to_lie(part)
+            coords = self.tc.to_lie({wd: v for wd, v in rem.items() if len(wd) == w})
             stage = self.identity().tensor
             for i in self.basis.weight_range(w):
                 e = coords.coeffs.get(i, 0)
                 if e:
-                    e = Fraction(e)
                     if e.denominator != 1:
                         raise ValueError(
                             f"element is not integral: weight-{w} exponent {e} "
@@ -254,15 +251,6 @@ class MalcevContext:
         out._nf = exps + (0,) * (self.basis.dim - len(exps))
         return out
 
-    def nf_mul(self, nf1: tuple, nf2: tuple) -> tuple:
-        """Product of two normal forms, memoized (bar-chain workhorse)."""
-        key = (nf1, nf2)
-        cached = self._nf_product.get(key)
-        if cached is None:
-            cached = self.normal_form(self.from_normal_form(nf1) * self.from_normal_form(nf2))
-            self._nf_product[key] = cached
-        return cached
-
     def section(self, x: NilElement) -> NilElement:
         """Zero-extension of the normal form: the canonical set-theoretic
         section Gamma_k -> Gamma_{k+1} of the central extension."""
@@ -270,7 +258,11 @@ class MalcevContext:
 
     def cocycle(self, g: NilElement, h: NilElement) -> LieElement:
         """c(g,h) = s(g) s(h) s(gh)^-1, a weight-k integral Lie element
-        over the class-k basis (an element of the lattice L_{k+1})."""
+        over the class-k basis (an element of the lattice L_{k+1}).
+
+        The product is exp(z) with z central of weight k, which the class-k
+        truncation makes exactly 1 + z, so z is read off without a log.
+        """
         key = (self.normal_form(g), self.normal_form(h))
         cached = self._cocycle.get(key)
         if cached is not None:
@@ -278,8 +270,8 @@ class MalcevContext:
         up = self.up()
         sg, sh, sgh = self.section(g), self.section(h), self.section(g * h)
         t = up.tc.mul(up.tc.mul(sg.tensor, sh.tensor), up.tc.inverse(sgh.tensor))
-        val = up.tc.to_lie(up.tc.log(t))
-        assert val == val.weight_part(self.k), "cocycle not concentrated in weight k"
+        assert all(len(w) == self.k for w in t if w), "cocycle not concentrated in weight k"
+        val = up.tc.to_lie({w: v for w, v in t.items() if w})
         assert val.is_integral(), "cocycle left the integral lattice"
         self._cocycle[key] = val
         return val

@@ -6,9 +6,11 @@ weight c.  Group elements live here as truncated exponentials (constant
 term 1), Lie elements as primitives (no constant term, weight-graded).
 
 Two independent routes express a primitive tensor in the Hall basis: a
-per-weight linear solve against the tensor images of the Hall elements
-(the working route), and the Dynkin right-normed bracketing map divided
-by the weight (kept as a cross-check).
+triangular read-off against the tensor images of the Hall elements (the
+working route; the image of a Lyndon basis element is its foliage plus
+lexicographically larger words, Reutenauer, Free Lie Algebras, Thm 5.1),
+and the Dynkin right-normed bracketing map divided by the weight (kept as
+a cross-check).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class TensorContext:
         self.c = basis.c
         self.n = basis.n
         self._hall_images: dict[int, Tensor] = {}
-        self._solvers: dict[int, list] = {}
 
     # -- algebra ----------------------------------------------------------
 
@@ -118,58 +119,30 @@ class TensorContext:
             add_into(out, self.hall_image(i), v)
         return out
 
-    def _solver(self, w: int) -> list:
-        """Gauss-Jordan pivots for the weight-w span of Hall images.
-
-        Each pivot is (word, vector, combo): vector has coefficient 1 at
-        word and 0 at every other pivot word; combo expresses vector in
-        terms of the original Hall images {index: coefficient}.
-        """
-        cached = self._solvers.get(w)
-        if cached is not None:
-            return cached
-        pivots: list = []
-        for i in self.basis.weight_range(w):
-            vec = {wd: Fraction(v) for wd, v in self.hall_image(i).items()}
-            combo = {i: Fraction(1)}
-            for pw, pvec, pcombo in pivots:
-                cf = vec.get(pw)
-                if cf:
-                    add_into(vec, pvec, -cf)
-                    add_into(combo, pcombo, -cf)
-            assert vec, f"Hall image {i} dependent on earlier ones"
-            pw = min(vec)
-            inv = 1 / vec[pw]
-            vec = {k: v * inv for k, v in vec.items()}
-            combo = {k: v * inv for k, v in combo.items()}
-            for opw, ovec, ocombo in pivots:
-                cf = ovec.get(pw)
-                if cf:
-                    add_into(ovec, vec, -cf)
-                    add_into(ocombo, combo, -cf)
-            pivots.append((pw, vec, combo))
-        self._solvers[w] = pivots
-        return pivots
-
     def to_lie(self, t: Tensor) -> LieElement:
-        """Hall coordinates of a primitive (Lie) tensor; rejects non-Lie input."""
+        """Hall coordinates of a primitive (Lie) tensor; rejects non-Lie input.
+
+        The image of a basis element is its foliage (coefficient 1) plus
+        lexicographically larger words of the same weight, so one pass in
+        basis order reads each coordinate off the residual and subtracts
+        that multiple of the image.
+        """
         if () in t:
             raise ValueError("not a Lie element: constant term present")
-        coeffs: dict[int, Fraction] = {}
-        by_weight: dict[int, Tensor] = {}
-        for wd, v in t.items():
-            by_weight.setdefault(len(wd), {})[wd] = v
-        for w, part in sorted(by_weight.items()):
-            residual = {wd: Fraction(v) for wd, v in part.items()}
-            for pw, pvec, pcombo in self._solver(w):
-                cf = residual.get(pw)
-                if cf:
-                    add_into(residual, pvec, -cf)
-                    add_into(coeffs, pcombo, cf)
-            if residual:
-                raise ValueError(
-                    f"not a Lie element: weight-{w} part outside the Hall span"
-                )
+        residual = dict(t)
+        coeffs: dict[int, Fraction | int] = {}
+        for i, foliage in enumerate(self.basis.index):
+            if not residual:
+                break
+            cf = residual.get(foliage)
+            if cf:
+                coeffs[i] = cf
+                add_into(residual, self.hall_image(i), -cf)
+        if residual:
+            w = min(map(len, residual))
+            raise ValueError(
+                f"not a Lie element: weight-{w} part outside the Hall span"
+            )
         return LieElement(self.basis, coeffs)
 
     def to_lie_dynkin(self, t: Tensor) -> LieElement:

@@ -65,9 +65,13 @@ def test_homology(capsys, tmp_path):
         (["cmodb-dim", "--g", "2", "--k", "1"], "--k"),
         (["johnson", "--g", "2", "--k", "1", "--auto", "catalog:sep1"], "--k"),
         (["johnson", "--g", "0", "--k", "3", "--auto", "catalog:sep1"], "--g"),
+        (["johnson", "--g", "1", "--k", "3", "--auto", "catalog:sep1"], "--g"),
+        (["search-torelli", "--g", "1"], "--g"),
+        (["calibrate", "--g", "1"], "--g"),
     ],
     ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
-         "johnson-k1", "johnson-g0"],
+         "johnson-k1", "johnson-g0", "johnson-g1-catalog", "search-torelli-g1",
+         "calibrate-g1"],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
     conf = str(tmp_path / "t.conf")
@@ -75,6 +79,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
     assert code == 2
     assert out == ""
     assert f"{flag} must be >=" in err
+    assert not (tmp_path / "t.conf").exists()
 
 
 def test_homology_budget_exhaustion(capsys, tmp_path):

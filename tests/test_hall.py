@@ -166,6 +166,14 @@ def test_lie_element_helpers():
     assert not LieElement(basis, {0: Fraction(1, 2)}).is_integral()
 
 
+def test_hash_ignores_int_or_fraction_coefficients():
+    basis = get_basis(3, 3)
+    x = LieElement(basis, {0: 2, 4: -1, 7: 3})
+    y = LieElement(basis, {7: Fraction(6, 2), 0: Fraction(2), 4: Fraction(-1)})
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+
+
 def test_rewriting_terminates_on_all_pairs():
     # every bracket of basis elements must resolve without cycling
     for n, c in ((2, 6), (3, 4), (4, 3)):

@@ -15,6 +15,7 @@ from torelli.malcev import (
     induced_lie_auto,
     act_lie,
     NilAutomorphism,
+    NilElement,
 )
 
 rng = random.Random(16180339)
@@ -111,9 +112,10 @@ def test_nf_mul_matches_group_product():
     for _ in range(15):
         x = ctx.element(random_word(4))
         y = ctx.element(random_word(4))
-        assert ctx.nf_mul(ctx.normal_form(x), ctx.normal_form(y)) == ctx.normal_form(
-            x * y
+        prod = ctx.from_normal_form(ctx.normal_form(x)) * ctx.from_normal_form(
+            ctx.normal_form(y)
         )
+        assert ctx.normal_form(prod) == ctx.normal_form(x * y)
 
 
 def test_project_section_round_trip():
@@ -123,6 +125,23 @@ def test_project_section_round_trip():
         x = ctx.element(w)
         assert ctx.project(ctx.section(x)) == x
         assert ctx.project(ctx.up().element(w)) == x
+
+
+def test_hash_agrees_across_construction_routes():
+    # the routes store equal coefficients as int or Fraction; equal
+    # elements must still hash alike and share a dict key
+    ctx = get_context(4, 3)
+    for _ in range(15):
+        x = ctx.element(random_word(4))
+        routes = [
+            ctx.from_normal_form(ctx.normal_form(x)),
+            ctx.project(ctx.section(x)),
+            NilElement(ctx, {w: Fraction(v) for w, v in x.tensor.items()}),
+        ]
+        table = {x: "x"}
+        for y in routes:
+            assert y == x and hash(y) == hash(x)
+            assert table[y] == "x"
 
 
 def test_cocycle_identity():

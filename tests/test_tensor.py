@@ -60,6 +60,24 @@ def test_projection_rejects_non_lie_tensors():
         tc.to_lie({(1, 1): Fraction(1)})  # symmetric square is not primitive
     with pytest.raises(ValueError):
         tc.to_lie({(): Fraction(1)})
+    # smallest word Lyndon: its coordinate is read off, a residual is left
+    with pytest.raises(ValueError, match="weight-2"):
+        tc.to_lie({(1, 2): 1})
+    with pytest.raises(ValueError, match="weight-3"):
+        TensorContext(get_basis(2, 3)).to_lie({(1, 1, 2): 1, (1, 2, 2): Fraction(1, 2)})
+
+
+def test_hall_images_are_unitriangular():
+    # to_lie relies on this: the image of a basis element is its foliage
+    # with coefficient 1 plus lexicographically larger words of its weight
+    for n, c in ((2, 6), (4, 5), (6, 4)):
+        basis = get_basis(n, c)
+        tc = TensorContext(basis)
+        for i in range(basis.dim):
+            im = tc.hall_image(i)
+            assert min(im) == basis.foliage(i), (n, c, i)
+            assert im[basis.foliage(i)] == 1, (n, c, i)
+            assert {len(w) for w in im} == {basis.weights[i]}, (n, c, i)
 
 
 def test_solver_and_dynkin_projections_agree():
