@@ -44,7 +44,7 @@ __all__ = [
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a homology computation would enumerate too many wedges."""
+    """Raised when homology wedges or Morita chain terms outgrow a budget."""
 
 
 def _sort_with_sign(tup: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -283,12 +283,14 @@ def run(args: argparse.Namespace) -> int:
             w = parse_word(args.word)
         except Exception as exc:
             raise UsageError(f"cannot parse word: {exc}") from exc
-        lw = ctx.log_word(w)
-        x = ctx.element(w)
+        try:
+            x = ctx.element(w)
+        except ValueError as exc:
+            raise UsageError(f"bad word: {exc}") from exc
         emit(
             {
                 "k": args.k,
-                "log": {ctx.basis.name(i): str(c) for i, c in sorted(lw.coeffs.items())},
+                "log": {ctx.basis.name(i): str(c) for i, c in sorted(x.log.coeffs.items())},
                 "normal_form": list(ctx.normal_form(x)),
             }
         )
@@ -308,14 +310,10 @@ def run(args: argparse.Namespace) -> int:
         signs = signs_from_config(conf)
         phi = resolve_auto(args.auto, args.g)
         try:
-            mv = morita(phi, args.k, signs.epsilon)
+            mv = morita(phi, args.k, signs.epsilon, conf["budget_chain_terms"])
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 1
-        if len(mv.cycle) > conf["budget_chain_terms"]:
-            raise UsageError(
-                f"cycle has {len(mv.cycle)} terms, over budget_chain_terms"
-            )
         out = {
             "k": args.k,
             "cycle_terms": len(mv.cycle),
@@ -333,7 +331,9 @@ def run(args: argparse.Namespace) -> int:
         all_ok = True
         for label, phi in suite:
             try:
-                ok, report = verify_morita_johnson(phi, args.k, signs)
+                ok, report = verify_morita_johnson(
+                    phi, args.k, signs, conf["budget_chain_terms"]
+                )
             except ValueError as exc:
                 ok, report = False, {"ok": False, "error": str(exc)}
             report["mapping_class"] = label

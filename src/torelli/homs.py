@@ -25,7 +25,7 @@ from .bar import (
     fundamental_two_chain,
     push,
 )
-from .ce import WedgeChain, extended_differential, read_h_tensor_l
+from .ce import BudgetExceeded, WedgeChain, extended_differential, read_h_tensor_l
 from .hall import LieElement, get_basis
 from .malcev import (
     NilAutomorphism,
@@ -178,17 +178,22 @@ def johnson_act(alpha: MappingClassRep, t: JohnsonValue, k: int) -> JohnsonValue
     return JohnsonValue(k, tuple(out))
 
 
-def morita(phi: MappingClassRep, k: int, epsilon: int) -> MoritaValue:
+def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> MoritaValue:
     """The chain-level k-th Morita value of phi: bound phi.C - C over the
     free group, push the bounding 3-chain to Gamma_k (a cycle, exactly,
     because phi acts trivially there), and cap with the extension
-    cocycle using the calibrated sign."""
+    cocycle using the calibrated sign.  A pushed cycle of more than
+    max_terms terms raises BudgetExceeded before the cap."""
     johnson(phi, k)  # reuses the precondition check, error message and all
     ctx = get_context(2 * phi.g, k)
     c2 = fundamental_two_chain(phi.g)
     z = act_on_chain(phi, c2) - c2
     d3 = bound_two_cycle(z)
     cycle = push(d3, ctx)
+    if max_terms is not None and len(cycle) > max_terms:
+        raise BudgetExceeded(
+            f"cycle has {len(cycle)} terms, over budget_chain_terms = {max_terms}"
+        )
     return MoritaValue(k, cycle, cap_d2(cycle, epsilon))
 
 
@@ -214,14 +219,14 @@ def symplectic_dual(
     return JohnsonValue(k, tuple(out))
 
 
-def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs):
+def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=None):
     """Check johnson(phi, k) == symplectic_dual(cap of morita(phi, k)).
 
     Returns (ok, report); the report lists the per-generator difference
-    when the check fails.
+    when the check fails.  max_terms is passed on to morita.
     """
     jv = johnson(phi, k)
-    mv = morita(phi, k, signs.epsilon)
+    mv = morita(phi, k, signs.epsilon, max_terms)
     dual = symplectic_dual(mv.d2_invariant, signs.delta, k)
     diff = jv - dual
     ok = diff.is_zero()

@@ -16,6 +16,9 @@ the exponent vector by zeros in weight k gives the canonical section
 Gamma_k -> Gamma_{k+1}, whose failure to be a homomorphism is the
 extension cocycle c(g,h) = s(g) s(h) s(gh)^-1 with values in the
 weight-k lattice L_{k+1}.
+
+A context interns one element per free-group word and prefix, so the
+log and normal form of a word are computed once, however often it occurs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from .hall import HallBasis, LieElement, get_basis
 from .sparse import add_into
 from .tensor import TensorContext
-from .words import Endomorphism, Word, apply_endo, generator
+from .words import Endomorphism, Word, apply_endo, generator, generator_name
 
 __all__ = [
     "MalcevContext",
@@ -113,50 +116,40 @@ class MalcevContext:
         self.c = k - 1
         self.basis: HallBasis = get_basis(n, self.c)
         self.tc = TensorContext(self.basis)
-        self._word_group: dict[Word, dict] = {}
-        self._log_word: dict[Word, LieElement] = {}
+        self._elements: dict[Word, NilElement] = {Word.make(()): self.identity()}
         self._basic_words: dict[int, Word] = {}
-        self._basic_logs: dict[int, LieElement] = {}
         self._cocycle: dict[tuple, LieElement] = {}
-        self._letter_exp: dict[int, dict] = {}
+        self._letter_exp: dict[int, dict] = {
+            s: self.tc.exp({(abs(s),): 1 if s > 0 else -1}) for s in range(-n, n + 1) if s
+        }
 
     # -- group elements from words -----------------------------------------
 
-    def _exp_letter(self, s: int) -> dict:
-        cached = self._letter_exp.get(s)
-        if cached is None:
-            x = {(abs(s),): 1 if s > 0 else -1}
-            cached = self.tc.exp(x)
-            self._letter_exp[s] = cached
-        return cached
-
-    def word_group(self, w: Word) -> dict:
-        """The group-like tensor of a free-group word (all prefixes cached)."""
-        cached = self._word_group.get(w)
-        if cached is not None:
-            return cached
+    def word_group(self, w: Word) -> NilElement:
+        """Intern the elements of w and its prefixes, extending the longest
+        prefix already interned one letter at a time."""
         letters = w.letters
-        start = 0
-        t = _ONE
-        for j in range(len(letters) - 1, 0, -1):
-            hit = self._word_group.get(Word.make(letters[:j]))
-            if hit is not None:
-                start, t = j, hit
-                break
-        for j in range(start, len(letters)):
-            t = self.tc.mul(t, self._exp_letter(letters[j]))
-            self._word_group[Word.make(letters[: j + 1])] = t
-        return t
-
-    def log_word(self, w: Word) -> LieElement:
-        cached = self._log_word.get(w)
-        if cached is None:
-            cached = self.tc.to_lie(self.tc.log(self.word_group(w)))
-            self._log_word[w] = cached
-        return cached
+        j = len(letters)
+        while (x := self._elements.get(Word.make(letters[:j]))) is None:
+            j -= 1
+        for j in range(j, len(letters)):
+            step = self._letter_exp.get(letters[j])
+            if step is None:
+                raise ValueError(
+                    f"letter {generator_name(abs(letters[j]))} is out of range: "
+                    f"Gamma_{self.k} has {self.n} generators"
+                )
+            t = self.tc.mul(x.tensor, step)
+            x = self._elements[Word.make(letters[: j + 1])] = NilElement(self, t)
+        return x
 
     def element(self, w: Word) -> NilElement:
-        return NilElement(self, self.word_group(w))
+        """The one shared element of a word; it caches its log and normal form."""
+        x = self._elements.get(w)
+        return x if x is not None else self.word_group(w)
+
+    def log_word(self, w: Word) -> LieElement:
+        return self.element(w).log
 
     def identity(self) -> NilElement:
         return NilElement(self, dict(_ONE))
@@ -165,10 +158,7 @@ class MalcevContext:
         return NilElement(self, self.tc.exp(self.tc.from_lie(x)))
 
     def bch(self, x: LieElement, y: LieElement) -> LieElement:
-        p = self.tc.mul(
-            self.tc.exp(self.tc.from_lie(x)), self.tc.exp(self.tc.from_lie(y))
-        )
-        return self.tc.to_lie(self.tc.log(p))
+        return (self.exp_lie(x) * self.exp_lie(y)).log
 
     def up(self) -> "MalcevContext":
         return get_context(self.n, self.k + 1)
@@ -198,11 +188,11 @@ class MalcevContext:
         return out
 
     def basic_log(self, index: int) -> LieElement:
-        cached = self._basic_logs.get(index)
-        if cached is None:
-            cached = self.log_word(self.basic_word(index))
-            self._basic_logs[index] = cached
-        return cached
+        return self.log_word(self.basic_word(index))
+
+    def _basic_power(self, index: int, e) -> dict:
+        """The tensor of basic(index)^e, as exp(e * basic_log(index))."""
+        return self.tc.exp(self.tc.from_lie(self.basic_log(index).scale(e)))
 
     def normal_form(self, x: NilElement) -> tuple[int, ...]:
         """Integer exponents of the collected form prod_i basic(i)^{e_i}.
@@ -210,6 +200,8 @@ class MalcevContext:
         Peels weight by weight: before weight w the remainder is 1 plus
         words of length >= w, so its weight-w words are the weight-w part
         of its log, and their Hall coordinates are the weight-w exponents.
+        Each basic(i)^{e_i} then comes off the left of the remainder as
+        exp(-e_i basic_log(i)), the inverse of exp(e_i basic_log(i)).
         Raises if x is not in the integral lattice Gamma_k.
         """
         if x._nf is not None:
@@ -218,7 +210,6 @@ class MalcevContext:
         rem = x.tensor
         for w in range(1, self.c + 1):
             coords = self.tc.to_lie({wd: v for wd, v in rem.items() if len(wd) == w})
-            stage = self.identity().tensor
             for i in self.basis.weight_range(w):
                 e = coords.coeffs.get(i, 0)
                 if e:
@@ -228,10 +219,7 @@ class MalcevContext:
                             f"at basis index {i}"
                         )
                     exps[i] = int(e)
-                    stage = self.tc.mul(
-                        stage, self.tc.exp(self.tc.from_lie(self.basic_log(i).scale(e)))
-                    )
-            rem = self.tc.mul(self.tc.inverse(stage), rem)
+                    rem = self.tc.mul(self._basic_power(i, -e), rem)
         assert len(rem) == 1, "peeling left a nontrivial remainder"
         out = tuple(exps)
         x._nf = out
@@ -244,9 +232,7 @@ class MalcevContext:
         t = dict(_ONE)
         for i, e in enumerate(exps):
             if e:
-                t = self.tc.mul(
-                    t, self.tc.exp(self.tc.from_lie(self.basic_log(i).scale(e)))
-                )
+                t = self.tc.mul(t, self._basic_power(i, e))
         out = NilElement(self, t)
         out._nf = exps + (0,) * (self.basis.dim - len(exps))
         return out
@@ -267,22 +253,14 @@ class MalcevContext:
         cached = self._cocycle.get(key)
         if cached is not None:
             return cached
-        up = self.up()
-        sg, sh, sgh = self.section(g), self.section(h), self.section(g * h)
-        t = up.tc.mul(up.tc.mul(sg.tensor, sh.tensor), up.tc.inverse(sgh.tensor))
+        t = (self.section(g) * self.section(h) * self.section(g * h).inverse()).tensor
         assert all(len(w) == self.k for w in t if w), "cocycle not concentrated in weight k"
-        val = up.tc.to_lie({w: v for w, v in t.items() if w})
+        val = self.up().tc.to_lie({w: v for w, v in t.items() if w})
         assert val.is_integral(), "cocycle left the integral lattice"
         self._cocycle[key] = val
         return val
 
     # -- induced maps --------------------------------------------------------
-
-    def fixes_generators(self, phi: Endomorphism) -> bool:
-        return all(
-            self.log_word(phi.images[i]) == self.log_word(generator(i + 1))
-            for i in range(self.n)
-        )
 
     def induced_lie_auto(self, phi: Endomorphism) -> tuple[LieElement, ...]:
         """Columns (by basis index) of the induced Lie algebra endomorphism.
@@ -329,7 +307,7 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
 
 def is_in_torelli(phi: Endomorphism, k: int) -> bool:
     """Does phi act trivially on Gamma_k?  (Level-k Torelli membership.)"""
-    return get_context(2 * phi.g, k).fixes_generators(phi)
+    return NilAutomorphism.from_endo(get_context(2 * phi.g, k), phi).is_identity()
 
 
 def induced_lie_auto(phi: Endomorphism, k: int) -> tuple[LieElement, ...]:

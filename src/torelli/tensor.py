@@ -56,44 +56,33 @@ class TensorContext:
                     del out[w]
         return out
 
+    def _series(self, out: Tensor, u: Tensor, coeff) -> Tensor:
+        """Add sum_{m >= 1} coeff(m) u^m into out (u^m is 0 past the class)."""
+        pw: Tensor = _ONE
+        for m in range(1, self.c + 1):
+            pw = self.mul(pw, u)
+            if not pw:
+                break
+            add_into(out, pw, coeff(m))
+        return out
+
     def exp(self, x: Tensor) -> Tensor:
         if () in x:
             raise ValueError("exp needs zero constant term")
-        out: Tensor = dict(_ONE)
-        pw: Tensor = dict(_ONE)
-        for m in range(1, self.c + 1):
-            pw = self.mul(pw, x)
-            if not pw:
-                break
-            add_into(out, pw, Fraction(1, factorial(m)))
-        return out
+        return self._series(dict(_ONE), x, lambda m: Fraction(1, factorial(m)))
 
     def log(self, p: Tensor) -> Tensor:
         if p.get((), 0) != 1:
             raise ValueError("log needs constant term 1")
         u = {w: v for w, v in p.items() if w != ()}
-        out: Tensor = {}
-        pw: Tensor = dict(_ONE)
-        for m in range(1, self.c + 1):
-            pw = self.mul(pw, u)
-            if not pw:
-                break
-            add_into(out, pw, Fraction(1 if m % 2 else -1, m))
-        return out
+        return self._series({}, u, lambda m: Fraction(1 if m % 2 else -1, m))
 
     def inverse(self, p: Tensor) -> Tensor:
         """Multiplicative inverse of an element with constant term 1."""
         if p.get((), 0) != 1:
             raise ValueError("inverse needs constant term 1")
         u = {w: -v for w, v in p.items() if w != ()}
-        out: Tensor = dict(_ONE)
-        pw: Tensor = dict(_ONE)
-        for _ in range(self.c):
-            pw = self.mul(pw, u)
-            if not pw:
-                break
-            add_into(out, pw)
-        return out
+        return self._series(dict(_ONE), u, lambda m: 1)
 
     # -- Hall basis <-> tensors --------------------------------------------
 

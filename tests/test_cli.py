@@ -118,6 +118,13 @@ def test_log_rejects_bad_word(capsys, tmp_path):
     )
     assert code == 2
     assert "parse" in err
+    # a3 is letter 5, beyond the four generators of genus 2
+    code, out, err = run_cli(
+        capsys, "--config", conf, "log", "--g", "2", "--k", "3", "--word", "a3 b1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "a3" in err and "out of range" in err
 
 
 def test_johnson_identity_is_zero(capsys, tmp_path):
@@ -252,6 +259,15 @@ def test_morita_chain_term_budget(capsys, tmp_path, calibrated_config):
         capsys,
         "--config", str(conf),
         "morita", "--g", "2", "--k", "3", "--auto", "catalog:conj_l",
+    )
+    assert code == 2
+    assert out == ""
+    assert "158 terms" in err and "budget_chain_terms" in err
+    # verify passes the same budget and stops before printing anything
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(conf),
+        "verify", "--g", "2", "--k", "3", "--suite", "default",
     )
     assert code == 2
     assert out == ""

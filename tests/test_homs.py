@@ -12,6 +12,7 @@ from torelli.words import (
     identity_mapping_class,
     h_action,
 )
+from torelli.ce import BudgetExceeded
 from torelli.hall import LieElement, lie_generator, lie_from_items
 from torelli.malcev import get_context
 from torelli.bar import bar_boundary, bar_chain, push
@@ -114,6 +115,19 @@ def test_morita_cycle_properties(signs):
     for v in mv.d2_invariant:
         assert v == v.weight_part(3)
         assert v.is_integral()
+
+
+def test_morita_term_budget_stops_before_the_cap(signs, monkeypatch):
+    import torelli.homs as homs
+
+    def no_cap(*args):
+        raise AssertionError("cap_d2 ran past the budget")
+
+    monkeypatch.setattr(homs, "cap_d2", no_cap)
+    with pytest.raises(BudgetExceeded, match="28 terms"):
+        morita(catalog(2)["sep1"], 3, signs.epsilon, max_terms=27)
+    monkeypatch.undo()
+    assert len(morita(catalog(2)["sep1"], 3, signs.epsilon, max_terms=28).cycle) == 28
 
 
 def test_morita_rejects_non_torelli(signs):

@@ -8,6 +8,7 @@ import pytest
 from torelli.words import Word, word, generator, commutator, catalog
 from torelli.hall import lie_generator, lie_from_items
 from torelli.malcev import (
+    MalcevContext,
     get_context,
     log_word,
     bch,
@@ -98,6 +99,63 @@ def test_normal_form_round_trip():
             if e:
                 w = w * ctx.basic_word(i) ** e
         assert list(ctx.normal_form(ctx.element(w))) == exps
+
+
+def test_elements_are_interned_per_word():
+    ctx = MalcevContext(4, 4)
+    for _ in range(10):
+        w = random_word(4)
+        half = Word.make(w.letters[: len(w.letters) // 2])
+        xh = ctx.element(half)
+        x = ctx.element(w)
+        assert ctx.element(w) is x
+        assert ctx.element(half) is xh  # extending a word keeps its prefix
+        # the prefix walk interned every prefix on the way
+        for j in range(len(w.letters) + 1):
+            assert Word.make(w.letters[:j]) in ctx._elements
+
+
+def _forbidden(*args):
+    raise AssertionError("recomputed a cached value")
+
+
+def test_second_element_reuses_normal_form(monkeypatch):
+    ctx = MalcevContext(4, 3)
+    w = random_word(4)
+    nf = ctx.normal_form(ctx.element(w))
+    lw = ctx.log_word(w)
+    for name in ("mul", "exp", "log", "inverse", "to_lie"):
+        monkeypatch.setattr(ctx.tc, name, _forbidden)
+    assert ctx.normal_form(ctx.element(w)) is nf
+    assert ctx.log_word(w) is lw
+
+
+def _stage_inverse_normal_form(ctx, x):
+    """The former peel: collect each weight's basic powers into one stage
+    tensor and multiply the remainder by the stage's series inverse."""
+    tc = ctx.tc
+    exps = [0] * ctx.basis.dim
+    rem = x.tensor
+    for w in range(1, ctx.c + 1):
+        coords = tc.to_lie({wd: v for wd, v in rem.items() if len(wd) == w})
+        stage = {(): 1}
+        for i in ctx.basis.weight_range(w):
+            e = coords.coeffs.get(i, 0)
+            if e:
+                exps[i] = int(e)
+                stage = tc.mul(stage, tc.exp(tc.from_lie(ctx.basic_log(i).scale(e))))
+        rem = tc.mul(tc.inverse(stage), rem)
+    assert rem == {(): 1}
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_normal_form_matches_stage_inverse_peel(k):
+    ctx = get_context(4, k)
+    for _ in range(8 if k < 5 else 4):
+        x = ctx.element(random_word(4, max_len=10))
+        fresh = NilElement(ctx, dict(x.tensor))
+        assert ctx.normal_form(fresh) == _stage_inverse_normal_form(ctx, x)
 
 
 def test_normal_form_rejects_rational_points():

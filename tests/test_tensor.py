@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from torelli.hall import LieElement, get_basis, lie_generator
+from torelli.sparse import add_into
 from torelli.tensor import TensorContext
 
 rng = random.Random(60221023)
@@ -119,3 +121,56 @@ def test_mul_truncates_at_class():
     tc = TensorContext(basis)
     t = {(1, 2): Fraction(1)}
     assert tc.mul(t, t) == {}
+
+
+def _old_exp(tc, x):
+    out, pw = {(): 1}, {(): 1}
+    for m in range(1, tc.c + 1):
+        pw = tc.mul(pw, x)
+        if not pw:
+            break
+        add_into(out, pw, Fraction(1, factorial(m)))
+    return out
+
+
+def _old_log(tc, p):
+    u = {w: v for w, v in p.items() if w != ()}
+    out, pw = {}, {(): 1}
+    for m in range(1, tc.c + 1):
+        pw = tc.mul(pw, u)
+        if not pw:
+            break
+        add_into(out, pw, Fraction(1 if m % 2 else -1, m))
+    return out
+
+
+def _old_inverse(tc, p):
+    u = {w: -v for w, v in p.items() if w != ()}
+    out, pw = {(): 1}, {(): 1}
+    for _ in range(tc.c):
+        pw = tc.mul(pw, u)
+        if not pw:
+            break
+        add_into(out, pw)
+    return out
+
+
+@pytest.mark.parametrize("n,c", [(2, 1), (2, 3), (3, 4), (2, 5)])
+def test_series_match_separate_loops(n, c):
+    # exp, log and inverse share one series loop; these are the three
+    # loops it replaced, kept as oracles
+    basis = get_basis(n, c)
+    tc = TensorContext(basis)
+    for _ in range(10):
+        x = tc.from_lie(lie_rand(basis))
+        g = tc.exp(x)
+        assert g == _old_exp(tc, x)
+        assert tc.log(g) == _old_log(tc, g)
+        assert tc.inverse(g) == _old_inverse(tc, g)
+        # a non-group-like unit and a nilpotent input of high weight
+        p = dict(g)
+        p[(1,) * c] = p.get((1,) * c, 0) + 3
+        assert tc.log(p) == _old_log(tc, p)
+        assert tc.inverse(p) == _old_inverse(tc, p)
+        top = {(2,) * c: Fraction(5, 2)}
+        assert tc.exp(top) == _old_exp(tc, top)
