@@ -6,9 +6,8 @@ identity entries (the normalized complex).  A chain's label group is its
 Gamma_k for its elements.  The module provides
 
   * the fundamental 2-chain C with dC = -[l] built from a staircase,
-  * a constructive bounding algorithm for 2-cycles of the free group,
-    via a translation-equivariant comparison homotopy between the bar
-    resolution and the rank-2g Fox resolution,
+  * a closed-form bounding chain for 2-cycles of the free group, read
+    off Fox's free differential calculus,
   * the pushforward along pi -> Gamma_k,
   * the cap of a 3-cycle over Gamma_k against the central-extension
     cocycle, landing in H tensor (weight-k layer); the global sign
@@ -29,11 +28,6 @@ __all__ = [
     "staircase",
     "fundamental_two_chain",
     "fox_derivatives",
-    "ResolutionElement",
-    "res_boundary",
-    "iota_rho",
-    "contraction",
-    "ComparisonHomotopy",
     "bound_two_cycle",
     "act_on_chain",
     "push",
@@ -162,125 +156,26 @@ def fox_derivatives(w: Word) -> dict[int, dict[Word, int]]:
     return {x: d for x, d in out.items() if d}
 
 
-class ResolutionElement(SparseChain):
-    """Finite Z-combination of (translate, basis tuple) pairs in the
-    normalized bar resolution of Z over Z[pi]."""
-
-    __slots__ = ()
-
-    def __init__(self, degree: int, terms: dict | None = None):
-        self.degree = degree
-        self.terms: dict[tuple[Word, tuple], int] = {}
-        for (g, tup), coeff in (terms or {}).items():
-            if not coeff or any(not x.letters for x in tup):
-                continue
-            if len(tup) != degree:
-                raise ValueError("basis tuple of wrong degree")
-            self.terms[(g, tup)] = coeff
-
-    def _like(self) -> "ResolutionElement":
-        return ResolutionElement(self.degree)
-
-    def translate(self, g: Word) -> "ResolutionElement":
-        return self._with({(g * h, tup): v for (h, tup), v in self.terms.items()})
-
-
-def res_element(degree: int, items) -> ResolutionElement:
-    return ResolutionElement(degree, collect(items))
-
-
-def res_boundary(elt: ResolutionElement) -> ResolutionElement:
-    """Resolution differential; the first face moves the leading label
-    into the translate."""
-    if elt.degree < 1:
-        raise ValueError("boundary needs degree >= 1")
-    items = []
-    for (g, tup), coeff in elt.terms.items():
-        n = len(tup)
-        items.append(((g * tup[0], tup[1:]), coeff))
-        sign = -1
-        for i in range(n - 1):
-            merged = tup[:i] + (tup[i] * tup[i + 1],) + tup[i + 2 :]
-            items.append(((g, merged), sign * coeff))
-            sign = -sign
-        items.append(((g, tup[:-1]), sign * coeff))
-    return res_element(elt.degree - 1, items)
-
-
-def iota_rho(elt: ResolutionElement) -> ResolutionElement:
-    """Round trip through the Fox resolution: identity in degree 0,
-    Fox-derivative spread in degree 1, zero in degrees >= 2 (the free
-    group has no higher syzygies)."""
-    if elt.degree == 0:
-        return elt
-    if elt.degree >= 2:
-        return ResolutionElement(elt.degree)
-    items = []
-    for (g, tup), coeff in elt.terms.items():
-        for x, d in fox_derivatives(tup[0]).items():
-            xw = word([x])
-            for v, c in d.items():
-                items.append(((g * v, (xw,)), coeff * c))
-    return res_element(1, items)
-
-
-def contraction(elt: ResolutionElement) -> ResolutionElement:
-    """Z-linear contracting homotopy: (g, tup) -> (e, (g,) + tup); kills
-    translate-identity terms by normalization."""
-    items = []
-    for (g, tup), coeff in elt.terms.items():
-        items.append(((_EMPTY, (g,) + tup), coeff))
-    return res_element(elt.degree + 1, items)
-
-
-class ComparisonHomotopy:
-    """Translation-equivariant homotopy u with du + ud = iota.rho - id.
-
-    Defined on translate-identity basis elements by the recursion
-    u = contraction(iota.rho - id - u.d) and extended so that
-    u(g, tup) = g . u(e, tup).  Being equivariant it descends to
-    coinvariant (plain bar) chains, where it bounds 2-cycles: for dz = 0
-    in degree 2, d(-u z) = z because the Fox resolution stops there.
-    """
-
-    def __init__(self):
-        self._memo: dict[tuple, ResolutionElement] = {}
-
-    def of_tuple(self, tup: tuple) -> ResolutionElement:
-        got = self._memo.get(tup)
-        if got is not None:
-            return got
-        e = ResolutionElement(len(tup), {(_EMPTY, tup): 1})
-        w = iota_rho(e) - e
-        if len(tup) >= 1:
-            w = w - self(res_boundary(e))
-        out = contraction(w)
-        self._memo[tup] = out
-        return out
-
-    def __call__(self, elt: ResolutionElement) -> ResolutionElement:
-        out: dict[tuple[Word, tuple], int] = {}
-        for (g, tup), coeff in elt.terms.items():
-            add_into(out, self.of_tuple(tup).translate(g).terms, coeff)
-        return ResolutionElement(elt.degree + 1, out)
-
-
-_homotopy = ComparisonHomotopy()
-
-
 def bound_two_cycle(z: BarChain) -> BarChain:
     """Given a 2-cycle z over pi, return a 3-chain D with dD = z, exactly.
 
-    Lifts z to translate-identity resolution elements, applies -u, and
-    reads the result back as a plain chain.
+    For z = sum n [x|y], expand the Fox derivatives dy/dx_i = sum c v;
+    then D = sum n c [x | v | x_i].  Proof: let F(w) = sum_i [dw/dx_i | x_i],
+    extended linearly.  The product rule d(xy)/dx_i = dx/dx_i + x dy/dx_i
+    and y - 1 = sum_i (dy/dx_i)(x_i - 1) give, face by face,
+    d(sum c [x|v|x_i]) = F(y) - (F(xy) - F(x)) + [x|y] = [x|y] + F(d[x|y]).
+    So dD = z + F(dz), which is z exactly when z is a cycle.
     """
     if z.degree != 2 or z.ctx is not None:
         raise ValueError("bounding needs a degree-2 chain over free-group words")
     if bar_boundary(z):
         raise ValueError("input chain is not a cycle")
-    lifted = ResolutionElement(2, {(_EMPTY, t): v for t, v in z.terms.items()})
-    image = _homotopy(lifted).scale(-1)
-    items = [(tup, coeff) for (g, tup), coeff in image.terms.items()]
+    items = [
+        ((x, v, word([i])), n * c)
+        for (x, y), n in z.terms.items()
+        for i, d in fox_derivatives(y).items()
+        for v, c in d.items()
+    ]
     return bar_chain(3, items)
 
 

@@ -240,14 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # least value of each numeric argument, checked before any computation
-ARG_MINIMA = {"g": 1, "k": 2, "nmax": 0}
+ARG_MINIMA = {"g": 1, "k": 2, "nmax": 0, "max_length": 1, "count": 1}
 
 
 def run(args: argparse.Namespace) -> int:
     for name, least in ARG_MINIMA.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise UsageError(f"--{name} must be >= {least}, got {value}")
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     if args.command == "calibrate" and args.g < 2:
         # calibration caps cycles on generator triples, which need genus >= 2
         raise UsageError(f"--g must be >= 2 for calibration, got {args.g}")

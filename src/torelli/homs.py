@@ -38,6 +38,7 @@ from .words import (
     MappingClassRep,
     Word,
     apply_endo,
+    boundary_word,
     catalog,
     compose,
     generator_name,
@@ -185,6 +186,10 @@ def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> Morita
     cocycle using the calibrated sign.  A pushed cycle of more than
     max_terms terms raises BudgetExceeded before the cap."""
     johnson(phi, k)  # reuses the precondition check, error message and all
+    ell = boundary_word(phi.g)
+    if apply_endo(phi, ell) != ell:
+        # d(phi.C - C) = [l] - [phi(l)], so there would be no cycle to bound
+        raise ValueError("mapping class does not fix the boundary word")
     ctx = get_context(2 * phi.g, k)
     c2 = fundamental_two_chain(phi.g)
     z = act_on_chain(phi, c2) - c2

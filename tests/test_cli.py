@@ -67,11 +67,15 @@ def test_homology(capsys, tmp_path):
         (["johnson", "--g", "0", "--k", "3", "--auto", "catalog:sep1"], "--g"),
         (["johnson", "--g", "1", "--k", "3", "--auto", "catalog:sep1"], "--g"),
         (["search-torelli", "--g", "1"], "--g"),
+        (["search-torelli", "--g", "2", "--max-length", "-1"], "--max-length"),
+        (["search-torelli", "--g", "2", "--count", "0"], "--count"),
+        (["search-torelli", "--g", "2", "--count", "-3"], "--count"),
         (["calibrate", "--g", "1"], "--g"),
     ],
     ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
          "johnson-k1", "johnson-g0", "johnson-g1-catalog", "search-torelli-g1",
-         "calibrate-g1"],
+         "search-torelli-max-length-1", "search-torelli-count0",
+         "search-torelli-count-3", "calibrate-g1"],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
     conf = str(tmp_path / "t.conf")
@@ -272,6 +276,21 @@ def test_morita_chain_term_budget(capsys, tmp_path, calibrated_config):
     assert code == 2
     assert out == ""
     assert "158 terms" in err and "budget_chain_terms" in err
+
+
+def test_morita_rejects_a_class_that_moves_the_boundary_word(
+    capsys, tmp_path, calibrated_config
+):
+    spec = tmp_path / "f.aut"
+    spec.write_text("a1 -> a2 a1 a2^-1\n")
+    code, out, err = run_cli(
+        capsys,
+        "--config", calibrated_config,
+        "morita", "--g", "2", "--k", "2", "--auto", str(spec),
+    )
+    assert code == 1
+    assert out == ""
+    assert "boundary word" in err
 
 
 def test_morita_requires_calibration(capsys, tmp_path):

@@ -11,6 +11,7 @@ from torelli.words import (
     compose,
     identity_mapping_class,
     h_action,
+    parse_automorphism,
 )
 from torelli.ce import BudgetExceeded
 from torelli.hall import LieElement, lie_generator, lie_from_items
@@ -133,6 +134,14 @@ def test_morita_term_budget_stops_before_the_cap(signs, monkeypatch):
 def test_morita_rejects_non_torelli(signs):
     with pytest.raises(ValueError):
         morita(catalog(2)["u2"], 2, signs.epsilon)
+
+
+def test_morita_rejects_a_class_that_moves_the_boundary_word(signs):
+    # acts trivially on H, so the Johnson precondition passes at k = 2
+    phi = parse_automorphism("a1 -> a2 a1 a2^-1", 2)
+    johnson(phi, 2)
+    with pytest.raises(ValueError, match="boundary word"):
+        morita(phi, 2, signs.epsilon)
 
 
 def test_morita_invariant_constant_on_homology_class(signs):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.bar import bar_chain, res_element
+from torelli.bar import bar_chain
 from torelli.ce import WedgeChain
 from torelli.hall import LieElement, get_basis, lie_from_items
 from torelli.sparse import add_into, collect
@@ -89,19 +89,10 @@ def _bar_key():
     return (_word(), _word())
 
 
-def _res(keys):
-    return res_element(1, [(k, rng.randint(-3, 3)) for k in keys])
-
-
-def _res_key():
-    return (_word(), (_word(),))
-
-
 KINDS = {
     "LieElement": (_lie, _lie_key),
     "WedgeChain": (_wedge, _wedge_key),
     "BarChain": (_bar, _bar_key),
-    "ResolutionElement": (_res, _res_key),
 }
 
 
