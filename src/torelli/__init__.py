@@ -34,23 +34,17 @@ from .hall import HallBasis, LieElement, get_basis, lie_generator
 from .homs import (
     JohnsonValue,
     MoritaValue,
-    SemidirectElement,
     Signs,
     calibrate_delta,
     calibrate_epsilon,
-    crossed_check,
-    equivariance_check,
-    hom_to_aut,
     johnson,
     johnson_act,
     morita,
-    read_aut_value,
     symplectic_dual,
     verify_morita_johnson,
 )
 from .malcev import (
     MalcevContext,
-    NilAutomorphism,
     NilElement,
     bch,
     get_context,

@@ -368,6 +368,10 @@ def run(args: argparse.Namespace) -> int:
         cat = _catalog(args.g)
         if args.generators:
             names = [s.strip() for s in args.generators.split(",") if s.strip()]
+            if not names:
+                raise UsageError(
+                    f"--generators must be >= 1 catalog name, got {args.generators!r}"
+                )
             bad = [s for s in names if s not in cat]
             if bad:
                 raise UsageError(

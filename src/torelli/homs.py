@@ -26,13 +26,8 @@ from .bar import (
     push,
 )
 from .ce import BudgetExceeded, WedgeChain, extended_differential, read_h_tensor_l
-from .hall import LieElement, get_basis
-from .malcev import (
-    NilAutomorphism,
-    act_lie,
-    get_context,
-    induced_lie_auto,
-)
+from .hall import LieElement
+from .malcev import act_lie, get_context, induced_lie_auto
 from .sparse import add_into
 from .words import (
     MappingClassRep,
@@ -40,7 +35,6 @@ from .words import (
     apply_endo,
     boundary_word,
     catalog,
-    compose,
     generator_name,
     h_action,
     word,
@@ -55,11 +49,6 @@ __all__ = [
     "morita",
     "symplectic_dual",
     "verify_morita_johnson",
-    "hom_to_aut",
-    "read_aut_value",
-    "crossed_check",
-    "equivariance_check",
-    "SemidirectElement",
     "calibrate_epsilon",
     "calibrate_delta",
     "jv_to_jsonable",
@@ -250,114 +239,6 @@ def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=
             if v.coeffs
         }
     return ok, report
-
-
-def hom_to_aut(t: JohnsonValue, g: int) -> NilAutomorphism:
-    """Turn an integral Hom(H, weight-k) value into the automorphism of
-    Gamma_{k+1} sending x to x * exp(t(x)); it projects to the identity
-    of Gamma_k, and addition of values matches composition."""
-    k = t.k
-    ctx = get_context(2 * g, k + 1)
-    images = []
-    for i, v in enumerate(t.values):
-        assert v.is_integral(), "only integral values give lattice automorphisms"
-        x = ctx.element(word([i + 1]))
-        images.append(x * ctx.exp_lie(v))
-    return NilAutomorphism(ctx, tuple(images))
-
-
-def read_aut_value(auto: NilAutomorphism) -> JohnsonValue:
-    """Inverse of hom_to_aut on its image: read off log(phi(x) x^-1)."""
-    ctx = auto.ctx
-    k = ctx.k - 1
-    values = []
-    for i, img in enumerate(auto.images):
-        diff = img * ctx.element(word([i + 1])).inverse()
-        lw = diff.log
-        if lw.coeffs and lw.min_weight() < k:
-            raise ValueError(
-                "automorphism does not project to the identity one level down"
-            )
-        values.append(lw.weight_part(k))
-    return JohnsonValue(k, tuple(values))
-
-
-def crossed_check(elements, f, action, multiply, add) -> dict:
-    """Verify the crossed-homomorphism law f(gh) = g.f(h) + f(g) on all
-    evaluable pairs from `elements`.
-
-    f maps element keys to module values; action(g, v) twists a value;
-    multiply(g, h) returns the key of gh, or None when the product is
-    not among the samples; add combines module values.  Pairs whose
-    product is unknown are skipped and counted.
-    """
-    checked = 0
-    skipped = 0
-    failures = []
-    for g in elements:
-        for h in elements:
-            gh = multiply(g, h)
-            if gh is None or gh not in f:
-                skipped += 1
-                continue
-            lhs = f[gh]
-            rhs = add(action(g, f[h]), f[g])
-            checked += 1
-            if lhs != rhs:
-                failures.append((g, h))
-    return {
-        "ok": not failures,
-        "checked": checked,
-        "skipped": skipped,
-        "failures": failures,
-    }
-
-
-def equivariance_check(alpha: MappingClassRep, phi: MappingClassRep, k: int) -> bool:
-    """johnson(alpha phi alpha^-1, k) must equal the alpha-twist of
-    johnson(phi, k)."""
-    conj = compose(compose(alpha, phi), alpha.inverse())
-    return johnson(conj, k) == johnson_act(alpha, johnson(phi, k), k)
-
-
-class SemidirectElement:
-    """Element of (mapping classes mod level-k Torelli) acting on
-    Hom(H, weight-k layer): a coset witness plus a module value, with
-    (alpha, v)(beta, w) = (alpha beta, alpha.w + v)."""
-
-    __slots__ = ("rep", "value", "k")
-
-    def __init__(self, rep: MappingClassRep, value: JohnsonValue, k: int):
-        self.rep = rep
-        self.value = value
-        self.k = k
-
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        if self.k != other.k:
-            raise ValueError("mixed levels")
-        return SemidirectElement(
-            compose(self.rep, other.rep),
-            johnson_act(self.rep, other.value, self.k) + self.value,
-            self.k,
-        )
-
-    def inverse(self) -> "SemidirectElement":
-        inv = self.rep.inverse()
-        zero = JohnsonValue(
-            self.k, tuple(LieElement(v.basis, {}) for v in self.value.values)
-        )
-        minus = zero - self.value
-        return SemidirectElement(inv, johnson_act(inv, minus, self.k), self.k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemidirectElement):
-            return NotImplemented
-        if self.k != other.k or self.value != other.value:
-            return False
-        # coset part compared through its induced action at level k
-        return induced_lie_auto(self.rep, self.k) == induced_lie_auto(
-            other.rep, self.k
-        )
 
 
 # -- calibration --------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "MalcevContext",
     "get_context",
     "NilElement",
-    "NilAutomorphism",
     "log_word",
     "bch",
     "is_in_torelli",
@@ -307,7 +306,11 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
 
 def is_in_torelli(phi: Endomorphism, k: int) -> bool:
     """Does phi act trivially on Gamma_k?  (Level-k Torelli membership.)"""
-    return NilAutomorphism.from_endo(get_context(2 * phi.g, k), phi).is_identity()
+    ctx = get_context(2 * phi.g, k)
+    return all(
+        ctx.element(im) == ctx.element(generator(i + 1))
+        for i, im in enumerate(phi.images)
+    )
 
 
 def induced_lie_auto(phi: Endomorphism, k: int) -> tuple[LieElement, ...]:
@@ -320,61 +323,3 @@ def act_lie(cols: tuple[LieElement, ...], x: LieElement) -> LieElement:
     for i, v in x.coeffs.items():
         add_into(out, cols[i].coeffs, v)
     return LieElement(x.basis, out)
-
-
-class NilAutomorphism:
-    """An automorphism of Gamma_k given by generator images.
-
-    Applying it to an arbitrary element goes through the normal form:
-    x = prod basic(i)^{e_i} maps to prod phi(basic(i))^{e_i}, where
-    phi(basic(i)) substitutes the generator images into the commutator word.
-    """
-
-    __slots__ = ("ctx", "images", "_basic_cache")
-
-    def __init__(self, ctx: MalcevContext, images):
-        self.ctx = ctx
-        self.images = tuple(images)
-        if len(self.images) != ctx.n:
-            raise ValueError(f"need {ctx.n} generator images")
-        self._basic_cache: dict[int, NilElement] = {}
-
-    @staticmethod
-    def from_endo(ctx: MalcevContext, phi: Endomorphism) -> "NilAutomorphism":
-        return NilAutomorphism(ctx, (ctx.element(im) for im in phi.images))
-
-    def _image_of_basic(self, index: int) -> NilElement:
-        cached = self._basic_cache.get(index)
-        if cached is None:
-            ctx = self.ctx
-            cached = ctx.identity()
-            for s in ctx.basic_word(index):
-                im = self.images[abs(s) - 1]
-                cached = cached * (im if s > 0 else im.inverse())
-            self._basic_cache[index] = cached
-        return cached
-
-    def apply(self, x: NilElement) -> NilElement:
-        if x.ctx is not self.ctx:
-            raise ValueError("element belongs to a different context")
-        out = self.ctx.identity()
-        for i, e in enumerate(self.ctx.normal_form(x)):
-            if e:
-                out = out * self._image_of_basic(i) ** e
-        return out
-
-    def compose(self, other: "NilAutomorphism") -> "NilAutomorphism":
-        if self.ctx is not other.ctx:
-            raise ValueError("mixed contexts")
-        return NilAutomorphism(self.ctx, (self.apply(im) for im in other.images))
-
-    def is_identity(self) -> bool:
-        return all(
-            im == self.ctx.element(generator(i + 1))
-            for i, im in enumerate(self.images)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NilAutomorphism):
-            return NotImplemented
-        return self.ctx is other.ctx and self.images == other.images

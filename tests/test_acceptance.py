@@ -14,7 +14,6 @@ from torelli.words import (
     word,
     catalog,
     compose,
-    h_action,
     identity_mapping_class,
     torelli_search,
 )
@@ -32,7 +31,6 @@ from torelli.ce import (
 from torelli.bar import bar_boundary, bar_chain, cap_d2, push
 from torelli.homs import (
     calibrate_epsilon,
-    crossed_check,
     johnson,
     morita,
     verify_morita_johnson,
@@ -294,44 +292,6 @@ def test_morita_invariant_stability(signs):
         moved = mv.cycle + bar_boundary(push(bar_chain(4, items), ctx))
         assert cap_d2(moved, signs.epsilon) == mv.d2_invariant
     report("[PASS] cap invariant unchanged under 10 pushed-boundary perturbations")
-
-
-def test_crossed_homomorphism_checker():
-    cat = catalog(2)
-    base = [cat["t1"], cat["u1"], cat["t2"]]
-    elements = list(base)
-    for phi in base:
-        for psi in base:
-            c = compose(phi, psi)
-            if all(c.images != e.images for e in elements):
-                elements.append(c)
-    elements = elements[:9]
-    known = {e.images: e for e in elements}
-
-    def action(g, v):
-        m = h_action(g)
-        return tuple(sum(m[i][j] * v[j] for j in range(4)) for i in range(4))
-
-    def multiply(g, h):
-        return known.get(compose(g, h).images)
-
-    def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    for _ in range(50):
-        v0 = tuple(rng.randint(-4, 4) for _ in range(4))
-        f = {g: tuple(a - b for a, b in zip(action(g, v0), v0)) for g in elements}
-        rep = crossed_check(elements, f, action, multiply, add)
-        assert rep["ok"] and rep["checked"] > 0
-
-        g0 = rng.choice(elements)
-        slot = rng.randrange(4)
-        bumped = list(f[g0])
-        bumped[slot] += rng.choice((1, -1))
-        f[g0] = tuple(bumped)
-        rep = crossed_check(elements, f, action, multiply, add)
-        assert not rep["ok"]
-    report("[PASS] coboundaries pass and one-point perturbations fail, 50 trials each")
 
 
 def test_level3_invariant_detects_conj_l(signs):

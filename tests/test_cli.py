@@ -70,12 +70,15 @@ def test_homology(capsys, tmp_path):
         (["search-torelli", "--g", "2", "--max-length", "-1"], "--max-length"),
         (["search-torelli", "--g", "2", "--count", "0"], "--count"),
         (["search-torelli", "--g", "2", "--count", "-3"], "--count"),
+        (["search-torelli", "--g", "2", "--generators", ","], "--generators"),
+        (["search-torelli", "--g", "2", "--generators", " , "], "--generators"),
         (["calibrate", "--g", "1"], "--g"),
     ],
     ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
          "johnson-k1", "johnson-g0", "johnson-g1-catalog", "search-torelli-g1",
          "search-torelli-max-length-1", "search-torelli-count0",
-         "search-torelli-count-3", "calibrate-g1"],
+         "search-torelli-count-3", "search-torelli-generators-comma",
+         "search-torelli-generators-blank", "calibrate-g1"],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
     conf = str(tmp_path / "t.conf")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.words import Word, word, generator, commutator, catalog
+from torelli.words import Word, word, generator, commutator, catalog, h_action
 from torelli.hall import lie_generator, lie_from_items
 from torelli.malcev import (
     MalcevContext,
@@ -15,7 +15,6 @@ from torelli.malcev import (
     is_in_torelli,
     induced_lie_auto,
     act_lie,
-    NilAutomorphism,
     NilElement,
 )
 
@@ -253,13 +252,18 @@ def test_cocycle_antisymmetrization_is_bracket():
 
 
 def test_torelli_membership():
-    cat = catalog(2)
-    assert not is_in_torelli(cat["t1"], 2)
-    for name in ("conj_l", "sep1"):
-        phi = cat[name]
-        assert is_in_torelli(phi, 2)
-        assert is_in_torelli(phi, 3)
-        assert not is_in_torelli(phi, 4)
+    for g in (2, 3):
+        cat = catalog(g)
+        n = 2 * g
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for phi in cat.values():
+            # level 2 is the classical Torelli group: phi acts trivially on H
+            assert is_in_torelli(phi, 2) == (h_action(phi) == identity)
+        for name in ("conj_l", "sep1"):
+            phi = cat[name]
+            assert is_in_torelli(phi, 2)
+            assert is_in_torelli(phi, 3)
+            assert not is_in_torelli(phi, 4)
 
 
 def test_induced_lie_auto_respects_brackets():
@@ -280,25 +284,3 @@ def test_induced_lie_auto_trivial_on_torelli():
     basis = cols[0].basis
     for i, col in enumerate(cols):
         assert col == lie_from_items(basis, [(i, 1)])
-
-
-def test_nil_automorphism_matches_word_substitution():
-    ctx = get_context(4, 4)
-    phi = catalog(2)["t1"]
-    auto = NilAutomorphism.from_endo(ctx, phi)
-    for _ in range(10):
-        w = random_word(4, max_len=6)
-        assert auto.apply(ctx.element(w)) == ctx.element(phi(w))
-    psi = catalog(2)["sep1"]
-    comp = auto.compose(NilAutomorphism.from_endo(ctx, psi))
-    for _ in range(5):
-        w = random_word(4, max_len=5)
-        assert comp.apply(ctx.element(w)) == ctx.element(phi(psi(w)))
-
-
-def test_nil_automorphism_identity_check():
-    ctx = get_context(4, 3)
-    auto = NilAutomorphism.from_endo(ctx, catalog(2)["conj_l"])
-    assert auto.is_identity()
-    other = NilAutomorphism.from_endo(ctx, catalog(2)["t1"])
-    assert not other.is_identity()
