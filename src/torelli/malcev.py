@@ -17,13 +17,18 @@ Gamma_k -> Gamma_{k+1}, whose failure to be a homomorphism is the
 extension cocycle c(g,h) = s(g) s(h) s(gh)^-1 with values in the
 weight-k lattice L_{k+1}.
 
-A context interns one element per free-group word and prefix, so the
-log and normal form of a word are computed once, however often it occurs.
+A context interns one element per free-group word, so the log and
+normal form of a word are computed once, however often it occurs.  Word
+tensors are built letter by letter down a prefix trie of integer tensors
+(coefficients at words of length r scaled by r!), so prefixes shared by
+several words are extended once and no Fraction arithmetic is done until
+a word's element is made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .hall import HallBasis, LieElement, get_basis
 from .sparse import add_into
@@ -118,28 +123,67 @@ class MalcevContext:
         self._elements: dict[Word, NilElement] = {Word.make(()): self.identity()}
         self._basic_words: dict[int, Word] = {}
         self._cocycle: dict[tuple, LieElement] = {}
-        self._letter_exp: dict[int, dict] = {
-            s: self.tc.exp({(abs(s),): 1 if s > 0 else -1}) for s in range(-n, n + 1) if s
+        self._powers: dict[tuple, dict] = {}
+        c = self.c
+        # word_group's prefix trie: node = [tensor, {letter: child}], the
+        # tensor's entry at a word of length r scaled by r! to an integer
+        self._trie: list = [dict(_ONE), {}]
+        # letter s appended to a word of length r: [(s-run of length m,
+        # (+-1)^m C(r+m, m)) for m = 1..c-r], indexed by r
+        self._steps: dict[int, list] = {
+            s: [
+                [((abs(s),) * m, (1 if s > 0 else -1) ** m * comb(r + m, m))
+                 for m in range(1, c - r + 1)]
+                for r in range(c + 1)
+            ]
+            for s in range(-n, n + 1)
+            if s
         }
 
     # -- group elements from words -----------------------------------------
 
     def word_group(self, w: Word) -> NilElement:
-        """Intern the elements of w and its prefixes, extending the longest
-        prefix already interned one letter at a time."""
-        letters = w.letters
-        j = len(letters)
-        while (x := self._elements.get(Word.make(letters[:j]))) is None:
-            j -= 1
-        for j in range(j, len(letters)):
-            step = self._letter_exp.get(letters[j])
-            if step is None:
-                raise ValueError(
-                    f"letter {generator_name(abs(letters[j]))} is out of range: "
-                    f"Gamma_{self.k} has {self.n} generators"
-                )
-            t = self.tc.mul(x.tensor, step)
-            x = self._elements[Word.make(letters[: j + 1])] = NilElement(self, t)
+        """Intern the element of w, walking (and growing) the prefix trie.
+
+        A trie node holds its prefix's tensor with the coefficient at each
+        word u multiplied by |u|!.  These scaled entries are integers: the
+        coefficient at u in exp(s_1 x_1) ... exp(s_l x_l) is a sum, over
+        the ways of cutting u into consecutive runs x_1^{m_1} ...
+        x_l^{m_l}, of prod_j s_j^{m_j} / m_j!, and |u|! / prod_j m_j! is a
+        multinomial coefficient.  Appending the letter +-i sends the entry
+        v at u (|u| = r) to (+-1)^m C(r+m, m) v at u i^m for m = 0..c-r,
+        which is exp(+-x_i) on the right in scaled form, so a step is
+        integer multiply-adds only.  Only w itself becomes a NilElement,
+        with entries v / |u|!.
+        """
+        node = self._trie
+        for s in w.letters:
+            child = node[1].get(s)
+            if child is None:
+                steps = self._steps.get(s)
+                if steps is None:
+                    raise ValueError(
+                        f"letter {generator_name(abs(s))} is out of range: "
+                        f"Gamma_{self.k} has {self.n} generators"
+                    )
+                prev = node[0]
+                out = dict(prev)
+                for u, v in prev.items():
+                    for run, f in steps[len(u)]:
+                        key = u + run
+                        nv = out.get(key, 0) + f * v
+                        if nv:
+                            out[key] = nv
+                        else:
+                            del out[key]
+                child = node[1][s] = [out, {}]
+            node = child
+        t = {}
+        for u, v in node[0].items():
+            d = factorial(len(u))
+            q, rem = divmod(v, d)
+            t[u] = Fraction(v, d) if rem else q
+        x = self._elements[w] = NilElement(self, t)
         return x
 
     def element(self, w: Word) -> NilElement:
@@ -190,8 +234,15 @@ class MalcevContext:
         return self.log_word(self.basic_word(index))
 
     def _basic_power(self, index: int, e) -> dict:
-        """The tensor of basic(index)^e, as exp(e * basic_log(index))."""
-        return self.tc.exp(self.tc.from_lie(self.basic_log(index).scale(e)))
+        """The tensor of basic(index)^e, as exp(e * basic_log(index)), built
+        once per (index, e).  Callers must not mutate it."""
+        key = (index, e)
+        t = self._powers.get(key)
+        if t is None:
+            t = self._powers[key] = self.tc.exp(
+                self.tc.from_lie(self.basic_log(index).scale(e))
+            )
+        return t
 
     def normal_form(self, x: NilElement) -> tuple[int, ...]:
         """Integer exponents of the collected form prod_i basic(i)^{e_i}.

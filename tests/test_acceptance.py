@@ -15,6 +15,7 @@ from torelli.words import (
     catalog,
     compose,
     identity_mapping_class,
+    parse_automorphism,
     torelli_search,
 )
 from torelli.hall import get_basis, lie_generator
@@ -32,11 +33,25 @@ from torelli.bar import bar_boundary, bar_chain, cap_d2, push
 from torelli.homs import (
     calibrate_epsilon,
     johnson,
+    johnson_act,
     morita,
     verify_morita_johnson,
 )
 
 rng = random.Random(10221008)
+
+# a boundary-fixing genus-2 automorphism whose action on H mixes the handles
+Z_IMAGES = """
+a1 -> a1 b1^-1 a2
+b1 -> a2^-1 b1 a2
+a2 -> a2^-1 b1 a2 b1^-1 a2
+b2 -> b2 b1^-1 a2
+inverse
+a1 -> a1 a2^-1 b1
+b1 -> b1^-1 a2 b1 a2^-1 b1
+a2 -> b1^-1 a2 b1
+b2 -> b2 a2^-1 b1
+"""
 
 
 def report(line: str) -> None:
@@ -302,4 +317,27 @@ def test_level3_invariant_detects_conj_l(signs):
     report(
         "[PASS] nonzero level-3 invariant for the boundary conjugation, which "
         "acts nontrivially one level up"
+    )
+
+
+def test_level5_commutator_johnson_k5():
+    t0 = time.monotonic()
+    cat = catalog(2)
+    sep1, t2 = cat["sep1"], cat["t2"]
+    z = parse_automorphism(Z_IMAGES, 2, name="z")
+    w = compose(compose(z, sep1), z.inverse())
+    y = compose(compose(compose(sep1, w), sep1.inverse()), w.inverse())
+    assert is_in_torelli(y, 5)
+    assert johnson(y, 4).is_zero()
+    jv = johnson(y, 5)
+    assert sum(1 for v in jv.values for cf in v.coeffs.values() if cf) == 20
+    assert all(v.is_integral() for v in jv.values)
+    moved = johnson(compose(compose(t2, y), t2.inverse()), 5)
+    assert moved == johnson_act(t2, jv, 5)
+    assert moved != jv
+    elapsed = time.monotonic() - t0
+    assert elapsed < 33
+    report(
+        "[PASS] [sep1, z sep1 z^-1] is in the level-5 Torelli group with a "
+        f"20-term integral Johnson value, t2-equivariant at k=5 ({elapsed:.2f}s)"
     )

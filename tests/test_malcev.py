@@ -109,9 +109,41 @@ def test_elements_are_interned_per_word():
         x = ctx.element(w)
         assert ctx.element(w) is x
         assert ctx.element(half) is xh  # extending a word keeps its prefix
-        # the prefix walk interned every prefix on the way
-        for j in range(len(w.letters) + 1):
-            assert Word.make(w.letters[:j]) in ctx._elements
+        # the walk left a trie node for every prefix on the way
+        node = ctx._trie
+        for s in w.letters:
+            node = node[1][s]
+
+
+def _fraction_walk(ctx, w):
+    """The former word_group: multiply by exp(+-x_i) one letter at a time
+    in Fraction tensor arithmetic."""
+    t = {(): 1}
+    for s in w.letters:
+        t = ctx.tc.mul(t, ctx.tc.exp({(abs(s),): 1 if s > 0 else -1}))
+    return t
+
+
+def _runs_word(n, runs, max_run):
+    """A reduced word of `runs` one-letter runs of lengths 1..max_run,
+    neighbouring runs on different generators."""
+    letters = []
+    for _ in range(runs):
+        i = rng.choice([i for i in range(1, n + 1) if not letters or i != abs(letters[-1])])
+        letters.extend([rng.choice((1, -1)) * i] * rng.randint(1, max_run))
+    return Word.make(letters)
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (4, 5), (6, 3)])
+def test_word_group_matches_fraction_walk(n, c):
+    ctx = MalcevContext(n, c + 1)
+    words = [random_word(n, max_len=12) for _ in range(10)]
+    words.append(_runs_word(n, 300, 1))
+    words.append(_runs_word(n, 12, 30))  # runs far longer than the class
+    words.append(Word.make([n] * 25 + [-1] * 40 + [2] * 3))
+    assert max(len(w) for w in words) >= 300
+    for w in words:
+        assert ctx.element(w).tensor == _fraction_walk(ctx, w)
 
 
 def _forbidden(*args):
