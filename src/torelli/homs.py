@@ -79,26 +79,23 @@ class JohnsonValue:
         self.k = k
         self.values = values
 
-    def __add__(self, other: "JohnsonValue") -> "JohnsonValue":
+    def _pairs(self, other: "JohnsonValue"):
         if self.k != other.k:
             raise ValueError("mixed levels")
-        return JohnsonValue(
-            self.k, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        if len(self.values) != len(other.values):
+            raise ValueError("mixed genus")
+        return zip(self.values, other.values)
+
+    def __add__(self, other: "JohnsonValue") -> "JohnsonValue":
+        return JohnsonValue(self.k, tuple(a + b for a, b in self._pairs(other)))
 
     def __sub__(self, other: "JohnsonValue") -> "JohnsonValue":
-        if self.k != other.k:
-            raise ValueError("mixed levels")
-        return JohnsonValue(
-            self.k, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return JohnsonValue(self.k, tuple(a - b for a, b in self._pairs(other)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JohnsonValue):
             return NotImplemented
-        return self.k == other.k and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        return self.k == other.k and self.values == other.values
 
     def is_zero(self) -> bool:
         return all(not v.coeffs for v in self.values)

@@ -18,11 +18,11 @@ extension cocycle c(g,h) = s(g) s(h) s(gh)^-1 with values in the
 weight-k lattice L_{k+1}.
 
 A context interns one element per free-group word, so the log and
-normal form of a word are computed once, however often it occurs.  Word
-tensors are built letter by letter down a prefix trie of integer tensors
-(coefficients at words of length r scaled by r!), so prefixes shared by
-several words are extended once and no Fraction arithmetic is done until
-a word's element is made.
+normal form of a word are computed once, however often it occurs.  A
+word's tensor is built letter by letter in one integer tensor
+(coefficients at words of length r scaled by r!), so no Fraction
+arithmetic is done until the word's element is made, and no prefix is
+kept.
 """
 
 from __future__ import annotations
@@ -121,13 +121,9 @@ class MalcevContext:
         self.basis: HallBasis = get_basis(n, self.c)
         self.tc = TensorContext(self.basis)
         self._elements: dict[Word, NilElement] = {Word.make(()): self.identity()}
-        self._basic_words: dict[int, Word] = {}
         self._cocycle: dict[tuple, LieElement] = {}
         self._powers: dict[tuple, dict] = {}
         c = self.c
-        # word_group's prefix trie: node = [tensor, {letter: child}], the
-        # tensor's entry at a word of length r scaled by r! to an integer
-        self._trie: list = [dict(_ONE), {}]
         # letter s appended to a word of length r: [(s-run of length m,
         # (+-1)^m C(r+m, m)) for m = 1..c-r], indexed by r
         self._steps: dict[int, list] = {
@@ -143,9 +139,9 @@ class MalcevContext:
     # -- group elements from words -----------------------------------------
 
     def word_group(self, w: Word) -> NilElement:
-        """Intern the element of w, walking (and growing) the prefix trie.
+        """Intern the element of w, built in one walk over its letters.
 
-        A trie node holds its prefix's tensor with the coefficient at each
+        The walk keeps the prefix's tensor with the coefficient at each
         word u multiplied by |u|!.  These scaled entries are integers: the
         coefficient at u in exp(s_1 x_1) ... exp(s_l x_l) is a sum, over
         the ways of cutting u into consecutive runs x_1^{m_1} ...
@@ -156,30 +152,24 @@ class MalcevContext:
         integer multiply-adds only.  Only w itself becomes a NilElement,
         with entries v / |u|!.
         """
-        node = self._trie
+        t = dict(_ONE)
         for s in w.letters:
-            child = node[1].get(s)
-            if child is None:
-                steps = self._steps.get(s)
-                if steps is None:
-                    raise ValueError(
-                        f"letter {generator_name(abs(s))} is out of range: "
-                        f"Gamma_{self.k} has {self.n} generators"
-                    )
-                prev = node[0]
-                out = dict(prev)
-                for u, v in prev.items():
-                    for run, f in steps[len(u)]:
-                        key = u + run
-                        nv = out.get(key, 0) + f * v
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
-                child = node[1][s] = [out, {}]
-            node = child
-        t = {}
-        for u, v in node[0].items():
+            steps = self._steps.get(s)
+            if steps is None:
+                raise ValueError(
+                    f"letter {generator_name(abs(s))} is out of range: "
+                    f"Gamma_{self.k} has {self.n} generators"
+                )
+            # steps read the entries before this letter; m = 0 stays in place
+            for u, v in list(t.items()):
+                for run, f in steps[len(u)]:
+                    key = u + run
+                    nv = t.get(key, 0) + f * v
+                    if nv:
+                        t[key] = nv
+                    else:
+                        del t[key]
+        for u, v in t.items():
             d = factorial(len(u))
             q, rem = divmod(v, d)
             t[u] = Fraction(v, d) if rem else q
@@ -217,18 +207,12 @@ class MalcevContext:
 
     def basic_word(self, index: int) -> Word:
         """The Hall tree read as an iterated group commutator word."""
-        cached = self._basic_words.get(index)
-        if cached is not None:
-            return cached
         tree = self.basis.trees[index]
         if isinstance(tree, int):
-            out = generator(tree)
-        else:
-            l, r = self.basis.subtree_indices(index)
-            u, v = self.basic_word(l), self.basic_word(r)
-            out = u * v * ~u * ~v
-        self._basic_words[index] = out
-        return out
+            return generator(tree)
+        l, r = self.basis.subtree_indices(index)
+        u, v = self.basic_word(l), self.basic_word(r)
+        return u * v * ~u * ~v
 
     def basic_log(self, index: int) -> LieElement:
         return self.log_word(self.basic_word(index))
@@ -279,6 +263,10 @@ class MalcevContext:
         exps = tuple(exps)
         if len(exps) > self.basis.dim:
             raise ValueError("exponent vector longer than the basis")
+        ints = tuple(map(int, exps))
+        if ints != exps:
+            raise ValueError(f"exponents must be integers: {exps}")
+        exps = ints
         t = dict(_ONE)
         for i, e in enumerate(exps):
             if e:

@@ -15,6 +15,7 @@ from torelli.hall import lie_generator, lie_from_items
 from torelli.malcev import get_context
 from torelli.bar import bar_boundary, bar_chain, push
 from torelli.homs import (
+    JohnsonValue,
     Signs,
     johnson,
     johnson_act,
@@ -84,6 +85,19 @@ def test_johnson_additive():
         phi, psi = rng.choice(pool), rng.choice(pool)
         lhs = johnson(compose(phi, psi), 3)
         assert lhs == johnson(phi, 3) + johnson(psi, 3)
+
+
+def test_johnson_values_of_different_genus_do_not_mix():
+    basis = get_context(4, 3).basis
+    a = lie_generator(basis, 1).bracket(lie_generator(basis, 2))
+    two, four = JohnsonValue(3, (a, a)), JohnsonValue(3, (a, a, a, a))
+    assert two != four and four != two
+    assert four == JohnsonValue(3, (a, a, a, a))
+    for x, y in ((two, four), (four, two)):
+        with pytest.raises(ValueError, match="mixed genus"):
+            x + y
+        with pytest.raises(ValueError, match="mixed genus"):
+            x - y
 
 
 def test_johnson_kernel_law():

@@ -1,6 +1,8 @@
 """Nilpotent truncations: group law, normal forms, cocycles, induced maps."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -109,10 +111,33 @@ def test_elements_are_interned_per_word():
         x = ctx.element(w)
         assert ctx.element(w) is x
         assert ctx.element(half) is xh  # extending a word keeps its prefix
-        # the walk left a trie node for every prefix on the way
-        node = ctx._trie
-        for s in w.letters:
-            node = node[1][s]
+        # building a word interns that word only, not its prefixes
+        v = Word.make(w.letters + w.letters[-1:] * 3)
+        assert v not in ctx._elements
+        before = len(ctx._elements)
+        ctx.element(v)
+        assert len(ctx._elements) == before + 1
+
+
+def test_word_group_retains_only_the_word():
+    ctx = MalcevContext(4, 4)
+    r = random.Random(27182818)
+    letters = []
+    while len(letters) < 2000:
+        s = r.choice((1, -1)) * r.randint(1, 4)
+        if letters and letters[-1] == -s:
+            continue
+        letters.append(s)
+    w = Word.make(letters)
+    assert len(w) == 2000
+    tracemalloc.start()
+    try:
+        ctx.element(w)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1_000_000
 
 
 def _fraction_walk(ctx, w):
@@ -187,6 +212,15 @@ def test_normal_form_matches_stage_inverse_peel(k):
         x = ctx.element(random_word(4, max_len=10))
         fresh = NilElement(ctx, dict(x.tensor))
         assert ctx.normal_form(fresh) == _stage_inverse_normal_form(ctx, x)
+
+
+def test_from_normal_form_rejects_rational_exponents():
+    ctx = get_context(4, 3)
+    with pytest.raises(ValueError):
+        ctx.from_normal_form((Fraction(1, 2),))
+    x = ctx.from_normal_form((Fraction(2), 0, -1))
+    assert ctx.normal_form(x) == (2, 0, -1) + (0,) * (ctx.basis.dim - 3)
+    assert all(type(e) is int for e in ctx.normal_form(x))
 
 
 def test_normal_form_rejects_rational_points():
