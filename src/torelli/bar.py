@@ -192,13 +192,15 @@ def act_on_chain(phi, chain: BarChain) -> BarChain:
 
 def push(chain: BarChain, ctx: MalcevContext) -> BarChain:
     """Relabel a word chain into Gamma_k; tuples acquiring an identity
-    entry are dropped.  This is a chain map onto normalized chains."""
+    entry are dropped.  This is a chain map onto normalized chains.
+
+    The labels are built together by `MalcevContext.elements`, which
+    walks each one on from its longest prefix among them.
+    """
     if chain.ctx is not None:
         raise ValueError("push starts from word labels")
-    items = [
-        (tuple(ctx.element(x) for x in tup), coeff)
-        for tup, coeff in chain.terms.items()
-    ]
+    elts = ctx.elements(x for tup in chain.terms for x in tup)
+    items = [(tuple(elts[x] for x in tup), coeff) for tup, coeff in chain.terms.items()]
     return bar_chain(chain.degree, items, ctx)
 
 

@@ -21,8 +21,10 @@ A context interns one element per free-group word, so the log and
 normal form of a word are computed once, however often it occurs.  A
 word's tensor is built letter by letter in one integer tensor
 (coefficients at words of length r scaled by r!), so no Fraction
-arithmetic is done until the word's element is made, and no prefix is
-kept.
+arithmetic is done until the word's element is made.  No prefix is kept
+past the call that builds it: a batch of words is built in one sorted
+scan that holds, locally, only the scaled tensors of the words on its
+current path.
 """
 
 from __future__ import annotations
@@ -152,8 +154,11 @@ class MalcevContext:
         integer multiply-adds only.  Only w itself becomes a NilElement,
         with entries v / |u|!.
         """
-        t = dict(_ONE)
-        for s in w.letters:
+        return self._finish(w, self._walk(dict(_ONE), w.letters))
+
+    def _walk(self, t: dict, letters) -> dict:
+        """Append letters to the scaled tensor t in place; returns t."""
+        for s in letters:
             steps = self._steps.get(s)
             if steps is None:
                 raise ValueError(
@@ -169,12 +174,47 @@ class MalcevContext:
                         t[key] = nv
                     else:
                         del t[key]
+        return t
+
+    def _finish(self, w: Word, t: dict) -> NilElement:
+        """Intern w's element from its scaled tensor t, which is left as is."""
+        out = {}
         for u, v in t.items():
             d = factorial(len(u))
             q, rem = divmod(v, d)
-            t[u] = Fraction(v, d) if rem else q
-        x = self._elements[w] = NilElement(self, t)
+            out[u] = Fraction(v, d) if rem else q
+        x = self._elements[w] = NilElement(self, out)
         return x
+
+    def elements(self, words) -> dict[Word, NilElement]:
+        """The interned elements of many words, the new ones built in one
+        sorted prefix scan.
+
+        Sorted by letters, the new words that are prefixes of a new word
+        w come before it and stay on a stack of the current path, so w
+        continues the walk of its longest prefix among them instead of
+        starting from its first letter.  The stack is local: only the
+        elements of the words outlive the call.
+        """
+        out: dict[Word, NilElement] = {}
+        new = []
+        for w in set(words):
+            x = self._elements.get(w)
+            if x is None:
+                new.append(w)
+            else:
+                out[w] = x
+        new.sort(key=lambda w: w.letters)
+        path: list[tuple] = []  # (letters, scaled tensor) along the path
+        for w in new:
+            letters = w.letters
+            while path and letters[: len(path[-1][0])] != path[-1][0]:
+                path.pop()
+            done, t = path[-1] if path else ((), _ONE)
+            t = self._walk(dict(t), letters[len(done):])
+            path.append((letters, t))
+            out[w] = self._finish(w, t)
+        return out
 
     def element(self, w: Word) -> NilElement:
         """The one shared element of a word; it caches its log and normal form."""

@@ -4,6 +4,9 @@ Elements are sparse dicts {word: coefficient} where a word is a tuple of
 letters (1-based ints) and products are truncated above a fixed total
 weight c.  Group elements live here as truncated exponentials (constant
 term 1), Lie elements as primitives (no constant term, weight-graded).
+Products are computed in integers: each operand is scaled by the lcm of
+its entries' denominators, which is exact because the product is
+bilinear, and each output entry is divided once at the end.
 
 Two independent routes express a primitive tensor in the Hall basis: a
 triangular read-off against the tensor images of the Hall elements (the
@@ -16,7 +19,7 @@ a cross-check).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .hall import HallBasis, LieElement
 from .sparse import add_into
@@ -27,6 +30,11 @@ Word_ = tuple  # tuple of 1-based letters
 Tensor = dict  # Word_ -> int | Fraction
 
 _ONE: Tensor = {(): 1}
+
+
+def _denominator(t: Tensor) -> int:
+    """The lcm of the denominators of t's entries (an int has one)."""
+    return lcm(*{v.denominator for v in t.values()})
 
 
 class TensorContext:
@@ -41,19 +49,46 @@ class TensorContext:
     # -- algebra ----------------------------------------------------------
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        """The truncated product ab, computed in integers.
+
+        With D_a and D_b the lcm of the denominators of a's and b's
+        entries, D_a a and D_b b have integer entries, and
+        ab = (D_a a)(D_b b) / (D_a D_b) exactly, so each output entry is
+        one integer sum divided once.  b's entries are bucketed by word
+        length, and an entry of a of length r meets only those of length
+        at most c - r.
+        """
         c = self.c
-        out: Tensor = {}
+        da = _denominator(a)
+        db = _denominator(b)
+        # fits[r]: the scaled entries of b of length <= r
+        fits: list[list] = [[] for _ in range(c + 1)]
+        for wb, vb in b.items():
+            if len(wb) <= c:
+                if db != 1:
+                    vb = vb.numerator * (db // vb.denominator)
+                fits[len(wb)].append((wb, vb))
+        for r in range(1, c + 1):
+            fits[r] = fits[r - 1] + fits[r]
+        acc: Tensor = {}
+        get = acc.get
         for wa, va in a.items():
             room = c - len(wa)
-            for wb, vb in b.items():
-                if len(wb) > room:
-                    continue
+            if room < 0:
+                continue
+            if da != 1:
+                va = va.numerator * (da // va.denominator)
+            for wb, vb in fits[room]:
                 w = wa + wb
-                nv = out.get(w, 0) + va * vb
-                if nv:
-                    out[w] = nv
-                elif w in out:
-                    del out[w]
+                acc[w] = get(w, 0) + va * vb
+        d = da * db
+        if d == 1:
+            return {w: v for w, v in acc.items() if v}
+        out: Tensor = {}
+        for w, v in acc.items():
+            if v:
+                q, rem = divmod(v, d)
+                out[w] = Fraction(v, d) if rem else q
         return out
 
     def _series(self, out: Tensor, u: Tensor, coeff) -> Tensor:

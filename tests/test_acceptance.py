@@ -54,6 +54,39 @@ b2 -> b2 a2^-1 b1
 """
 
 
+def product(*factors):
+    """The composite factors[0] . factors[1] . ... of mapping classes."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = compose(out, f)
+    return out
+
+
+def commutator_class(a, b):
+    return product(a, b, a.inverse(), b.inverse())
+
+
+def bounding_pair_instances():
+    """(label, mapping class, k) for chain comparisons with nonzero values.
+
+    P = u2^-1 u2^-1 (z u1 t1^-1)^4 is a bounding-pair map from the chain
+    relation (Farb-Margalit, Primer), so it lies in the Torelli group.
+    Commutators with a second Torelli class go one level deeper each:
+    [P, t2 P t2^-1] at k=3, and [P, Y] with Y = t2 z^-1 sep1 z t2^-1 at
+    k=4.
+    """
+    cat = catalog(2)
+    t1, u1, t2, u2, sep1 = (cat[name] for name in ("t1", "u1", "t2", "u2", "sep1"))
+    z = parse_automorphism(Z_IMAGES, 2, name="z")
+    p = product(u2.inverse(), u2.inverse(), *[z, u1, t1.inverse()] * 4)
+    y = product(t2, z.inverse(), sep1, z, t2.inverse())
+    return [
+        ("P", p, 2),
+        ("[P, t2 P t2^-1]", commutator_class(p, product(t2, p, t2.inverse())), 3),
+        ("[P, Y]", commutator_class(p, y), 4),
+    ]
+
+
 def report(line: str) -> None:
     print(line, flush=True)
 
@@ -341,3 +374,23 @@ def test_level5_commutator_johnson_k5():
         "[PASS] [sep1, z sep1 z^-1] is in the level-5 Torelli group with a "
         f"20-term integral Johnson value, t2-equivariant at k=5 ({elapsed:.2f}s)"
     )
+
+
+def test_nonzero_chain_comparisons_k2_to_k4(signs):
+    # budgets are 30x the median time of each instance on one core of a
+    # shared 2-vCPU host
+    budgets = {"P": 0.3, "[P, t2 P t2^-1]": 4, "[P, Y]": 260}
+    for label, phi, k in bounding_pair_instances():
+        t0 = time.monotonic()
+        ok, rep = verify_morita_johnson(phi, k, signs)
+        assert ok, (label, rep)
+        jv = johnson(phi, k)
+        assert not jv.is_zero(), label
+        elapsed = time.monotonic() - t0
+        assert elapsed < budgets[label], (label, elapsed)
+        nonzero = sum(1 for v in jv.values for cf in v.coeffs.values() if cf)
+        report(
+            f"[PASS] johnson == dual(cap(morita)) for {label} at k={k}, "
+            f"{nonzero} nonzero coefficients, {rep['cycle_terms']} cycle terms "
+            f"({elapsed:.2f}s)"
+        )

@@ -5,9 +5,17 @@ import random
 
 import pytest
 
-from torelli.words import Word, word, generator, boundary_word, catalog, compose
+from torelli.words import (
+    Word,
+    word,
+    generator,
+    boundary_word,
+    catalog,
+    compose,
+    parse_automorphism,
+)
 from torelli.hall import get_basis
-from torelli.malcev import get_context
+from torelli.malcev import MalcevContext, get_context
 from torelli.sparse import add_into, collect
 from torelli.bar import (
     BarChain,
@@ -23,6 +31,8 @@ from torelli.bar import (
     cap_d2,
     chain_to_jsonable,
 )
+
+from test_acceptance import Z_IMAGES, bounding_pair_instances, product
 
 rng = random.Random(14142135)
 
@@ -296,6 +306,53 @@ def test_push_fundamental_chain():
     pushed = bar_boundary(push(C, ctx3))
     assert pushed == push(bar_boundary(C), ctx3)
     assert pushed
+
+
+def _bound_labels(phi):
+    C = fundamental_two_chain(phi.g)
+    D = bound_two_cycle(act_on_chain(phi, C) - C)
+    return {x for tup in D.terms for x in tup}
+
+
+def _check_scan(labels, n, k):
+    """The scan on a fresh context against per-label word_group."""
+    # some labels continue the walk of a shorter label
+    assert any(Word.make(w.letters[:-1]) in labels for w in labels)
+    ctx = MalcevContext(n, k)
+    scanned = ctx.elements(labels)
+    oracle = MalcevContext(n, k)
+    assert set(scanned) == labels
+    for w in labels:
+        assert scanned[w].tensor == oracle.word_group(w).tensor, w
+        assert ctx.element(w) is scanned[w]
+
+
+def test_scan_matches_word_group_k3():
+    cat = catalog(2)
+    sep1, t2 = cat["sep1"], cat["t2"]
+    z = parse_automorphism(Z_IMAGES, 2, name="z")
+    zi = z.inverse()
+    classes = list(cat.values()) + [
+        product(z, sep1, zi),
+        product(zi, sep1, z),
+        product(z, z, sep1, zi, zi),
+        product(t2, z, sep1, zi, t2.inverse()),
+    ]
+    for phi in classes:
+        _check_scan(_bound_labels(phi), 4, 3)
+    # words interned before the scan keep their elements
+    labels = _bound_labels(classes[-1])
+    ctx = MalcevContext(4, 3)
+    early = {w: ctx.element(w) for w in sorted(labels, key=len)[::3]}
+    scanned = ctx.elements(labels)
+    assert all(scanned[w] is x for w, x in early.items())
+    assert all(ctx.element(w) is scanned[w] for w in labels)
+
+
+def test_scan_matches_word_group_k4():
+    label, phi, k = bounding_pair_instances()[2]
+    assert (label, k) == ("[P, Y]", 4)
+    _check_scan(_bound_labels(phi), 4, 4)
 
 
 def test_antisym_cycle():

@@ -140,6 +140,41 @@ def test_word_group_retains_only_the_word():
     assert current < 1_000_000
 
 
+def test_scan_retains_only_the_requested_elements():
+    r = random.Random(31415926)
+    letters = []
+    while len(letters) < 600:
+        s = r.choice((1, -1)) * r.randint(1, 4)
+        if letters and letters[-1] == -s:
+            continue
+        letters.append(s)
+    # nested prefixes, so the scan's path holds ten tensors at its deepest
+    # and branches off it
+    words = [Word.make(letters[:m]) for m in range(60, 601, 60)]
+    words += [Word.make(letters[:m] + [5 - abs(letters[m])]) for m in range(30, 600, 120)]
+
+    def retained(build):
+        """Memory left after build(ctx), and after the elements are dropped."""
+        ctx = MalcevContext(4, 4)
+        tracemalloc.start()
+        try:
+            build(ctx)
+            gc.collect()
+            current, _ = tracemalloc.get_traced_memory()
+            assert len(ctx._elements) == len(words) + 1
+            ctx._elements.clear()
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return current, left
+
+    one_by_one, _ = retained(lambda ctx: [ctx.word_group(w) for w in words])
+    scanned, left = retained(lambda ctx: ctx.elements(words))
+    assert scanned < 1.25 * one_by_one, (scanned, one_by_one)
+    assert left < 0.05 * scanned, (left, scanned)
+
+
 def _fraction_walk(ctx, w):
     """The former word_group: multiply by exp(+-x_i) one letter at a time
     in Fraction tensor arithmetic."""

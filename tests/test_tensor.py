@@ -174,3 +174,59 @@ def test_series_match_separate_loops(n, c):
         assert tc.inverse(p) == _old_inverse(tc, p)
         top = {(2,) * c: Fraction(5, 2)}
         assert tc.exp(top) == _old_exp(tc, top)
+
+
+def _fraction_mul(tc, a, b):
+    """The former mul: one multiply-add per pair of entries that fits
+    under the class, in the entries' own (int or Fraction) arithmetic."""
+    out = {}
+    for wa, va in a.items():
+        room = tc.c - len(wa)
+        for wb, vb in b.items():
+            if len(wb) > room:
+                continue
+            w = wa + wb
+            nv = out.get(w, 0) + va * vb
+            if nv:
+                out[w] = nv
+            elif w in out:
+                del out[w]
+    return out
+
+
+def _random_tensor(n, c, size, fractions):
+    """size random entries at words of length 0..c, ints in [-9, 9] or
+    Fractions with denominators up to c!."""
+    t = {}
+    for _ in range(size):
+        w = tuple(rng.randint(1, n) for _ in range(rng.randint(0, c)))
+        v = rng.choice((-1, 1)) * rng.randint(1, 9)
+        t[w] = Fraction(v, rng.randint(1, factorial(c))) if fractions else v
+    return t
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (4, 5), (6, 3)])
+def test_integer_mul_matches_fraction_oracle(n, c):
+    tc = TensorContext(get_basis(n, c))
+    g = tc.exp(tc.from_lie(lie_rand(tc.basis)))
+    top = {(1,) * c: Fraction(-7, factorial(c)), (n,) * c: 5}
+    pairs = [
+        (_random_tensor(n, c, 12, fa), _random_tensor(n, c, 12, fb))
+        for fa, fb in ((False, False), (False, True), (True, False), (True, True))
+        for _ in range(5)
+    ]
+    pairs += [
+        (g, tc.inverse(g)),  # everything but the constant term cancels
+        ({(): 1, (1,): 1}, {(): 1, (1,): -1}),  # the (1,) entries cancel
+        (top, {(2,): 3, (1, 2): Fraction(1, 2)}),  # nothing fits: empty
+        ({(): 1}, g),
+        (g, {(): 1}),
+        ({}, g),
+        (g, {}),
+    ]
+    for a, b in pairs:
+        got = tc.mul(a, b)
+        assert got == _fraction_mul(tc, a, b), (a, b)
+        assert all(got.values()), "zero entry kept"
+    assert tc.mul(g, tc.inverse(g)) == {(): 1}
+    assert tc.mul(top, {(2,): 3}) == {}
