@@ -68,7 +68,6 @@ from .words import (
     identity_mapping_class,
     parse_automorphism,
     parse_word,
-    torelli_search,
     verify_mapping_class,
     word,
 )

@@ -237,7 +237,10 @@ def _block_rank(
         rows.append({target_index[u]: v for u, v in ce_boundary(chain).terms.items()})
     r1 = rank_bareiss(rows)
     r2 = rank_gauss(rows)
-    assert r1 == r2, f"elimination pipelines disagree on the block of {sources[0]}"
+    if r1 != r2:
+        raise ArithmeticError(
+            f"elimination pipelines disagree on the block of {sources[0]}"
+        )
     return r1
 
 

@@ -33,10 +33,8 @@ from .words import (
     MappingClassRep,
     catalog,
     compose,
-    format_word,
     parse_automorphism,
     parse_word,
-    torelli_search,
 )
 
 DEFAULT_CONFIG = "torelli.conf"
@@ -227,28 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--g", type=int, default=2)
     q.add_argument("--force", action="store_true", help="allow overwriting stored signs")
 
-    q = sub.add_parser("search-torelli", help="search products acting trivially on H1")
-    q.add_argument("--g", type=int, required=True)
-    q.add_argument("--max-length", type=int, default=4)
-    q.add_argument("--count", type=int, default=5)
-    q.add_argument(
-        "--generators",
-        default="",
-        help="comma-separated catalog names (default: whole catalog)",
-    )
     return p
 
 
 # least value of each numeric argument, checked before any computation
-ARG_MINIMA = {"g": 1, "k": 2, "nmax": 0, "max_length": 1, "count": 1}
+ARG_MINIMA = {"g": 1, "k": 2, "nmax": 0}
 
 
 def run(args: argparse.Namespace) -> int:
     for name, least in ARG_MINIMA.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
+            raise UsageError(f"--{name} must be >= {least}, got {value}")
     if args.command == "calibrate" and args.g < 2:
         # calibration caps cycles on generator triples, which need genus >= 2
         raise UsageError(f"--g must be >= 2 for calibration, got {args.g}")
@@ -362,37 +350,6 @@ def run(args: argparse.Namespace) -> int:
         conf["delta"] = delta
         save_config(args.config, conf)
         emit({"epsilon": epsilon, "delta": delta, "config": args.config})
-        return 0
-
-    if args.command == "search-torelli":
-        cat = _catalog(args.g)
-        if args.generators:
-            names = [s.strip() for s in args.generators.split(",") if s.strip()]
-            if not names:
-                raise UsageError(
-                    f"--generators must be >= 1 catalog name, got {args.generators!r}"
-                )
-            bad = [s for s in names if s not in cat]
-            if bad:
-                raise UsageError(
-                    f"unknown catalog names {bad}; available: {', '.join(sorted(cat))}"
-                )
-            gens = [cat[s] for s in names]
-        else:
-            gens = list(cat.values())
-        found = torelli_search(args.g, gens, args.max_length, args.count)
-        emit(
-            {
-                "count": len(found),
-                "found": [
-                    {
-                        "name": rep.name,
-                        "images": [format_word(im) for im in rep.images],
-                    }
-                    for rep in found
-                ],
-            }
-        )
         return 0
 
     raise UsageError(f"unhandled command {args.command!r}")

@@ -35,7 +35,8 @@ def _integer_rows(rows: list[Row]) -> list[dict]:
 
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
-    assert r == 0, "Bareiss division was not exact"
+    if r:
+        raise ArithmeticError("Bareiss division was not exact")
     return q
 
 

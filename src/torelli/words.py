@@ -37,7 +37,6 @@ __all__ = [
     "h_action",
     "identity_mapping_class",
     "catalog",
-    "torelli_search",
     "parse_word",
     "parse_automorphism",
     "format_word",
@@ -304,10 +303,6 @@ def h_action(phi: Endomorphism) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def catalog(g: int) -> dict[str, MappingClassRep]:
     """Named, verified mapping classes for genus g >= 2.
 
@@ -355,48 +350,6 @@ def catalog(g: int) -> dict[str, MappingClassRep]:
     for name, rep in out.items():
         assert verify_mapping_class(rep), f"catalog entry {name} failed verification"
     return out
-
-
-def torelli_search(
-    g: int,
-    generators: Iterable[MappingClassRep],
-    max_length: int,
-    count: int,
-) -> list[MappingClassRep]:
-    """Products of the given mapping classes (and their inverses) of length
-    <= max_length whose action on H1 is the identity but which are not the
-    identity automorphism.  Returns up to `count` distinct automorphisms,
-    breadth-first, deduplicated by generator images.
-    """
-    alphabet: list[MappingClassRep] = []
-    for rep in generators:
-        alphabet.append(rep)
-        if rep.inverse_images is not None:
-            inv = rep.inverse()
-            if inv.images != rep.images:
-                alphabet.append(inv)
-    ident = identity_mapping_class(g)
-    eye = _identity_matrix(2 * g)
-    found: list[MappingClassRep] = []
-    seen = {ident.images}
-    frontier: list[MappingClassRep] = [ident]
-    for _ in range(max_length):
-        if len(found) >= count or not frontier:
-            break
-        nxt: list[MappingClassRep] = []
-        for cur in frontier:
-            for step in alphabet:
-                new = step if cur is ident else compose(cur, step)
-                if new.images in seen:
-                    continue
-                seen.add(new.images)
-                nxt.append(new)
-                if h_action(new) == eye and new.images != ident.images:
-                    found.append(new)
-                    if len(found) >= count:
-                        return found
-        frontier = nxt
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from torelli.words import (
     compose,
     identity_mapping_class,
     parse_automorphism,
-    torelli_search,
 )
 from torelli.hall import get_basis, lie_generator
 from torelli.malcev import get_context, induced_lie_auto, is_in_torelli
@@ -277,13 +276,27 @@ def test_kernel_law():
         compose(compose(conj_l, sep1), compose(conj_l.inverse(), sep1.inverse())),
         compose(compose(sep1, conj_l), compose(sep1.inverse(), conj_l.inverse())),
     ]
-    found = torelli_search(2, list(cat.values()), 2, 6)
-    pool2 = pool3[:6] + found
-    assert len(pool2) + len(pool3) >= 20
+    # bounding-pair classes from the chain relation: P and its conjugates
+    # have a nonzero k=2 value, the two commutators a zero one
+    (_, p, _), (_, p_comm, _), (_, p_y, _) = bounding_pair_instances()
+    t2 = cat["t2"]
+    chain_classes = [
+        p,
+        p.inverse(),
+        product(t2, p, t2.inverse()),
+        product(u1, p, u1.inverse()),
+        p_comm,
+        p_y,
+    ]
+    pool2 = pool3[:6] + chain_classes
+    assert len(pool2) + len(pool3) == 22
     outcomes = set()
     for phi in pool2:
         zero = johnson(phi, 2).is_zero()
         assert zero == is_in_torelli(phi, 3)
+        outcomes.add(zero)
+    assert outcomes == {True, False}
+    outcomes = set()
     for phi in pool3:
         zero = johnson(phi, 3).is_zero()
         assert zero == is_in_torelli(phi, 4)

@@ -68,19 +68,10 @@ def test_homology(capsys, tmp_path):
         (["johnson", "--g", "2", "--k", "1", "--auto", "catalog:sep1"], "--k"),
         (["johnson", "--g", "0", "--k", "3", "--auto", "catalog:sep1"], "--g"),
         (["johnson", "--g", "1", "--k", "3", "--auto", "catalog:sep1"], "--g"),
-        (["search-torelli", "--g", "1"], "--g"),
-        (["search-torelli", "--g", "2", "--max-length", "-1"], "--max-length"),
-        (["search-torelli", "--g", "2", "--count", "0"], "--count"),
-        (["search-torelli", "--g", "2", "--count", "-3"], "--count"),
-        (["search-torelli", "--g", "2", "--generators", ","], "--generators"),
-        (["search-torelli", "--g", "2", "--generators", " , "], "--generators"),
         (["calibrate", "--g", "1"], "--g"),
     ],
     ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
-         "johnson-k1", "johnson-g0", "johnson-g1-catalog", "search-torelli-g1",
-         "search-torelli-max-length-1", "search-torelli-count0",
-         "search-torelli-count-3", "search-torelli-generators-comma",
-         "search-torelli-generators-blank", "calibrate-g1"],
+         "johnson-k1", "johnson-g0", "johnson-g1-catalog", "calibrate-g1"],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
     conf = str(tmp_path / "t.conf")
@@ -313,29 +304,6 @@ def test_output_is_deterministic(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_search_torelli(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
-    blob = run_json(
-        capsys,
-        "--config", conf,
-        "search-torelli", "--g", "2", "--max-length", "2", "--count", "3",
-    )
-    assert blob["count"] >= 1
-    assert all("images" in row for row in blob["found"])
-    blob = run_json(
-        capsys,
-        "--config", conf,
-        "search-torelli", "--g", "2", "--max-length", "3", "--generators", "t1,u1",
-    )
-    assert blob["count"] == 0
-    code, _, err = run_cli(
-        capsys,
-        "--config", conf,
-        "search-torelli", "--g", "2", "--generators", "t1,zz",
-    )
-    assert code == 2
 
 
 def test_suite_errors(capsys, tmp_path):

@@ -1,8 +1,14 @@
 """Exact sparse rank, two independent pipelines."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import torelli
 from torelli.linalg import rank_bareiss, rank_gauss
 
 rng = random.Random(31415926)
@@ -61,3 +67,30 @@ def test_dependent_rational_rows():
     rows = [base, {c: v * Fraction(9, 2) for c, v in base.items()}, {1: 1}]
     assert rank_bareiss(rows) == 2
     assert rank_gauss(rows) == 2
+
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        (
+            "import torelli.ce as ce\n"
+            "ce.rank_gauss = lambda rows: -1\n"
+            "print(ce.homology_dims(2, 3, 2))\n",
+            "elimination pipelines disagree",
+        ),
+        (
+            "from torelli.linalg import _exact_div\nprint(_exact_div(7, 2))\n",
+            "Bareiss division was not exact",
+        ),
+    ],
+    ids=["rank-disagreement", "inexact-division"],
+)
+def test_elimination_checks_survive_optimize(code, message):
+    # the checks raise rather than assert, so they still stop a run under -O
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(torelli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode != 0, out.stdout
+    assert f"ArithmeticError: {message}" in out.stderr

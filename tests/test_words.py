@@ -20,7 +20,6 @@ from torelli.words import (
     identity_mapping_class,
     parse_automorphism,
     parse_word,
-    torelli_search,
     verify_mapping_class,
     word,
 )
@@ -145,25 +144,6 @@ def test_h_action_is_symplectic():
             for i in range(n)
         ]
         assert got == J, rep.name
-
-
-def test_torelli_search_transvections_only_is_empty():
-    # the braid relation kills every short transvection word on one handle;
-    # the first transvection-only H1-trivial product is far longer than 8
-    cat = catalog(2)
-    gens = [cat["t1"], cat["u1"]]
-    assert torelli_search(2, gens, 8, 1) == []
-
-
-def test_torelli_search_full_catalog_finds_elements():
-    cat = catalog(2)
-    found = torelli_search(2, list(cat.values()), 2, 5)
-    assert found
-    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    ident = identity_mapping_class(2)
-    for rep in found:
-        assert h_action(rep) == eye
-        assert rep.images != ident.images
 
 
 def test_parse_automorphism_round_trip():
