@@ -247,7 +247,8 @@ def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
     up = get_basis(ctx.n, ctx.k)
     out = tuple(LieElement(up, s) for s in slots)
     for i, s in enumerate(out):
-        assert s.is_integral(), f"cap value at slot {i} is not integral"
+        if not s.is_integral():
+            raise ArithmeticError(f"cap value at slot {i} is not integral")
     return out
 
 

@@ -72,7 +72,8 @@ class HallBasis:
         self.index: dict[tuple[int, ...], int] = {
             f: i for i, f in enumerate(self.foliages)
         }
-        assert len(self.index) == self.dim, "duplicate foliage in basis"
+        if len(self.index) != self.dim:
+            raise ArithmeticError("duplicate foliage in basis")
         # contents[i][l] counts letter l+1 in the foliage of i
         self.contents: list[tuple[int, ...]] = [
             tuple(f.count(letter) for letter in range(1, n + 1)) for f in self.foliages

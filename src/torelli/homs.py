@@ -143,7 +143,8 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
                 f"at generator {generator_name(i + 1)}"
             )
         v = lw.weight_part(k)
-        assert v.is_integral(), "Johnson value must be integral"
+        if not v.is_integral():
+            raise ArithmeticError("Johnson value must be integral")
         values.append(v)
     return JohnsonValue(k, tuple(values))
 

@@ -1,16 +1,21 @@
 """Exact rank of sparse integer/rational matrices, two ways.
 
-rank_bareiss is the working route: fraction-free Gaussian elimination
-(Bareiss) on sparse integer rows, pivoting for sparsity.  rank_gauss is
-an independent rational elimination with a different pivot rule; tests
-compare the two on every block they both see.  Denominators are cleared
-row by row, which changes no rank.
+Both routes clear each row's denominators and then eliminate in integers;
+neither ever builds a Fraction.  rank_bareiss is fraction-free Gaussian
+elimination (Bareiss): it pivots on the sparsest row and keeps its
+entries small by exact division by the previous pivot.  rank_gauss pivots
+on the densest column instead, and keeps its rows small by dividing each
+new row by the gcd of its entries.  Different pivot rules and different
+normalisations keep the two routes independent; tests compare them on
+every block they both see.  Float entries are rejected: the ranks are
+exact, and a binary float is not the rational it was meant to be.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from collections import Counter
+from itertools import chain
+from math import gcd, lcm
 
 __all__ = ["rank_bareiss", "rank_gauss"]
 
@@ -18,16 +23,14 @@ Row = dict  # column index -> int | Fraction
 
 
 def _integer_rows(rows: list[Row]) -> list[dict]:
+    """Each nonzero row times the lcm of its denominators."""
     out = []
     for row in rows:
-        if not row:
-            continue
-        den = 1
-        for v in row.values():
-            f = Fraction(v)
-            den = den * f.denominator // gcd(den, f.denominator)
-        r = {c: int(Fraction(v) * den) for c, v in row.items()}
-        r = {c: v for c, v in r.items() if v}
+        try:
+            den = lcm(*(v.denominator for v in row.values()))
+        except AttributeError as exc:
+            raise TypeError(f"exact rank needs int or Fraction entries: {exc}") from None
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         if r:
             out.append(r)
     return out
@@ -56,19 +59,19 @@ def rank_bareiss(rows: list[Row]) -> int:
         for row in rows:
             f = row.get(col)
             if f is None:
-                new = {c: _exact_div(v * piv, prev) for c, v in row.items()}
-            else:
-                new = {}
-                for c, v in row.items():
-                    nv = v * piv - f * pivot_row.get(c, 0)
-                    if nv:
-                        new[c] = _exact_div(nv, prev)
-                for c, v in pivot_row.items():
-                    if c not in row:
-                        nv = -f * v
-                        if nv:
-                            new[c] = _exact_div(nv, prev)
-                new.pop(col, None)
+                # the update v * piv / prev is the identity when piv == prev
+                if piv != prev:
+                    row = {c: _exact_div(v * piv, prev) for c, v in row.items()}
+                nxt.append(row)
+                continue
+            new = {}
+            for c, v in row.items():
+                nv = v * piv - f * pivot_row.get(c, 0)
+                if nv:
+                    new[c] = _exact_div(nv, prev)
+            for c, v in pivot_row.items():
+                if c not in row:
+                    new[c] = _exact_div(-f * v, prev)
             if new:
                 nxt.append(new)
         rows = nxt
@@ -76,36 +79,49 @@ def rank_bareiss(rows: list[Row]) -> int:
     return rank
 
 
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
 def rank_gauss(rows: list[Row]) -> int:
-    """Rank by plain rational elimination, densest-column-first pivoting."""
-    rows = [
-        {c: Fraction(v) for c, v in row.items() if v} for row in rows if row
-    ]
-    rows = [r for r in rows if r]
+    """Rank by integer row elimination, densest-column-first pivoting.
+
+    A row with entry f at the pivot column becomes a * row - b * pivot_row,
+    with a = piv / g and b = f / g for g = gcd(piv, f), so the pivot
+    column cancels exactly; the new row is then divided by the gcd of its
+    entries, which keeps every row primitive.
+    """
+    rows = [_primitive(r) for r in _integer_rows(rows)]
     rank = 0
     while rows:
-        counts: dict[int, int] = {}
-        for row in rows:
-            for c in row:
-                counts[c] = counts.get(c, 0) + 1
+        counts = Counter(chain.from_iterable(rows))
         col = max(counts, key=lambda c: (counts[c], c))
         idx = next(i for i, row in enumerate(rows) if col in row)
         pivot_row = rows.pop(idx)
-        inv = 1 / pivot_row[col]
-        pivot_row = {c: v * inv for c, v in pivot_row.items()}
+        piv = pivot_row.pop(col)
         rank += 1
         nxt = []
         for row in rows:
-            f = row.get(col)
-            if f:
-                row = dict(row)
+            # rows are private to this call, so each one is updated in place
+            f = row.pop(col, None)
+            if f is not None:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
                 for c, v in pivot_row.items():
-                    nv = row.get(c, 0) - f * v
+                    nv = row.get(c, 0) - b * v
                     if nv:
                         row[c] = nv
-                    elif c in row:
+                    else:
                         del row[c]
-            if row:
-                nxt.append(row)
+                if not row:
+                    continue
+                row = _primitive(row)
+            nxt.append(row)
         rows = nxt
     return rank

@@ -56,7 +56,8 @@ class NilElement:
     __slots__ = ("ctx", "tensor", "_log", "_nf", "_hash")
 
     def __init__(self, ctx: "MalcevContext", tensor: dict):
-        assert tensor.get((), 0) == 1, "group elements have constant term 1"
+        if tensor.get((), 0) != 1:
+            raise ValueError("group elements have constant term 1")
         self.ctx = ctx
         self.tensor = tensor
         self._log: LieElement | None = None
@@ -294,7 +295,8 @@ class MalcevContext:
                         )
                     exps[i] = int(e)
                     rem = self.tc.mul(self._basic_power(i, -e), rem)
-        assert len(rem) == 1, "peeling left a nontrivial remainder"
+        if len(rem) != 1:
+            raise ArithmeticError("peeling left a nontrivial remainder")
         out = tuple(exps)
         x._nf = out
         return out
@@ -332,9 +334,11 @@ class MalcevContext:
         if cached is not None:
             return cached
         t = (self.section(g) * self.section(h) * self.section(g * h).inverse()).tensor
-        assert all(len(w) == self.k for w in t if w), "cocycle not concentrated in weight k"
+        if any(w and len(w) != self.k for w in t):
+            raise ArithmeticError("cocycle not concentrated in weight k")
         val = self.up().tc.to_lie({w: v for w, v in t.items() if w})
-        assert val.is_integral(), "cocycle left the integral lattice"
+        if not val.is_integral():
+            raise ArithmeticError("cocycle left the integral lattice")
         self._cocycle[key] = val
         return val
 

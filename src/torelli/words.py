@@ -348,7 +348,8 @@ def catalog(g: int) -> dict[str, MappingClassRep]:
     out["sep1"] = MappingClassRep(g, ims, inv, "sep1")
 
     for name, rep in out.items():
-        assert verify_mapping_class(rep), f"catalog entry {name} failed verification"
+        if not verify_mapping_class(rep):
+            raise ArithmeticError(f"catalog entry {name} failed verification")
     return out
 
 
