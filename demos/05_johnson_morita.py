@@ -56,7 +56,7 @@ instances = [
     ("conj_l", conj_l),
     ("sep1", sep1),
     ("sep1 conj_l", compose(sep1, conj_l)),
-    ("t1 sep1 t1^-1", compose(compose(cat["t1"], sep1), cat["t1"].inverse())),
+    ("t1 sep1 t1^-1", compose(cat["t1"], sep1, cat["t1"].inverse())),
 ]
 for label, phi in instances:
     ok, report = verify_morita_johnson(phi, 3, signs)
@@ -64,6 +64,6 @@ for label, phi in instances:
 
 # what the duality actually does to the cap invariant
 mv = morita(conj_l, 3, epsilon)
-assert symplectic_dual(mv.d2_invariant, delta, 3) == johnson(conj_l, 3)
+assert symplectic_dual(mv.d2_invariant, delta) == johnson(conj_l, 3)
 print()
 print("dual(cap(morita)) reproduces johnson exactly")

@@ -1,46 +1,26 @@
 """Torelli classes from the chain relation, and the command-line surface.
 
-Torelli classes are built from relations, not found by search.  z is a
-boundary-fixing genus-2 automorphism whose action on H1 mixes the two
-handles; the chain relation (Farb-Margalit, A Primer on Mapping Class
-Groups) then gives the bounding-pair map
+Torelli classes are built from relations, not found by search.  The
+catalog's z is a boundary-fixing automorphism of the first two handles
+whose action on H1 mixes them; the chain relation (Farb-Margalit, A
+Primer on Mapping Class Groups) then gives the catalog's bounding-pair
+map
 
     P = u2^-1 u2^-1 (z u1 t1^-1)^4,
 
 which acts trivially on H1 but not on the next nilpotent quotient.  Its
-commutator with a conjugate lies one level deeper.
+commutator with a conjugate lies one level deeper.  compose takes any
+number of factors, so such products are written out as they read.
 """
 
 import subprocess
 import sys
 
 from torelli.homs import johnson, jv_to_jsonable
-from torelli.words import catalog, compose, h_action, parse_automorphism
-
-Z_IMAGES = """
-a1 -> a1 b1^-1 a2
-b1 -> a2^-1 b1 a2
-a2 -> a2^-1 b1 a2 b1^-1 a2
-b2 -> b2 b1^-1 a2
-inverse
-a1 -> a1 a2^-1 b1
-b1 -> b1^-1 a2 b1 a2^-1 b1
-a2 -> b1^-1 a2 b1
-b2 -> b2 a2^-1 b1
-"""
-
-
-def product(*factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = compose(out, f)
-    return out
-
+from torelli.words import catalog, compose, h_action
 
 cat = catalog(2)
-t1, u1, t2, u2 = cat["t1"], cat["u1"], cat["t2"], cat["u2"]
-z = parse_automorphism(Z_IMAGES, 2, name="z")
-p = product(u2.inverse(), u2.inverse(), *[z, u1, t1.inverse()] * 4)
+p, t2 = cat["P"], cat["t2"]
 
 eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 print("P = u2^-1 u2^-1 (z u1 t1^-1)^4 acts trivially on H1:", h_action(p) == eye)
@@ -48,8 +28,8 @@ print("johnson value of P at k=2:")
 for gen, entries in jv_to_jsonable(johnson(p, 2))["values"].items():
     print(f"  {gen}: {entries if entries else 0}")
 
-q = product(t2, p, t2.inverse())
-comm = product(p, q, p.inverse(), q.inverse())
+q = compose(t2, p, t2.inverse())
+comm = compose(p, q, p.inverse(), q.inverse())
 print("[P, t2 P t2^-1] has a zero value at k=2:", johnson(comm, 2).is_zero())
 print()
 

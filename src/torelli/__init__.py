@@ -53,7 +53,6 @@ from .malcev import (
     log_word,
 )
 from .words import (
-    Endomorphism,
     MappingClassRep,
     Word,
     apply_endo,

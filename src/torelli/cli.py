@@ -115,14 +115,13 @@ def resolve_auto(spec: str, g: int) -> MappingClassRep:
 
 
 def _catalog(g: int) -> dict[str, MappingClassRep]:
-    try:
-        return catalog(g)
-    except ValueError as exc:
-        raise UsageError(f"--g must be >= 2 for catalog mapping classes, got {g}") from exc
+    if g < 2:
+        raise UsageError(f"--g must be >= 2 for catalog mapping classes, got {g}")
+    return catalog(g)
 
 
 def _suite_line(line: str, cat: dict[str, MappingClassRep]) -> MappingClassRep:
-    rep = None
+    steps = []
     for token in line.split():
         name, _, power = token.partition("^")
         if name not in cat:
@@ -134,10 +133,10 @@ def _suite_line(line: str, cat: dict[str, MappingClassRep]) -> MappingClassRep:
             if power != "-1":
                 raise UsageError(f"only ^-1 powers are supported, got {token!r}")
             step = step.inverse()
-        rep = step if rep is None else compose(rep, step)
-    if rep is None:
+        steps.append(step)
+    if not steps:
         raise UsageError("empty mapping-class expression")
-    return rep
+    return compose(*steps)
 
 
 DEFAULT_SUITE = [

@@ -31,7 +31,6 @@ from .malcev import act_lie, get_context, induced_lie_auto
 from .sparse import add_into
 from .words import (
     MappingClassRep,
-    Word,
     apply_endo,
     boundary_word,
     catalog,
@@ -117,14 +116,6 @@ class MoritaValue:
         self.d2_invariant = d2_invariant
 
 
-def _difference_words(phi: MappingClassRep) -> list[Word]:
-    out = []
-    for i in range(1, 2 * phi.g + 1):
-        x = word([i])
-        out.append(apply_endo(phi, x) * ~x)
-    return out
-
-
 def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     """The k-th Johnson value of phi: generator x maps to the weight-k
     part of log(phi(x) x^-1) computed one level up, at Gamma_{k+1}.
@@ -134,8 +125,9 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     """
     ctx = get_context(2 * phi.g, k + 1)
     values = []
-    for i, diff in enumerate(_difference_words(phi)):
-        lw = ctx.log_word(diff)
+    for i in range(2 * phi.g):
+        x = word([i + 1])
+        lw = ctx.log_word(apply_endo(phi, x) * ~x)
         if lw.coeffs and lw.min_weight() < k:
             raise ValueError(
                 f"mapping class is not in the level-{k} Torelli group: "
@@ -189,26 +181,23 @@ def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> Morita
     return MoritaValue(k, cycle, cap_d2(cycle, epsilon))
 
 
-def symplectic_dual(
-    t: tuple[LieElement, ...], delta: int, k: int | None = None
-) -> JohnsonValue:
+def symplectic_dual(t: tuple[LieElement, ...], delta: int) -> JohnsonValue:
     """Apply duality H -> H* from the intersection pairing <a_i, b_i> = 1
     to the H slot of a tensor in H (x) L: the a_i slot contributes
-    -delta at b_i and the b_i slot contributes +delta at a_i."""
+    -delta at b_i and the b_i slot contributes +delta at a_i.  Cap values
+    at level k live over the class-k basis, so k is the class of t's."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     n = len(t)
-    if n % 2:
+    if not n or n % 2:
         raise ValueError("tensor needs one slot per generator, 2g of them")
     basis = t[0].basis
-    if k is None:
-        k = basis.c
     out: list[LieElement] = [LieElement(basis, {})] * n
     for m in range(n // 2):
         ai, bi = 2 * m, 2 * m + 1
         out[ai] = t[bi].scale(-delta)
         out[bi] = t[ai].scale(delta)
-    return JohnsonValue(k, tuple(out))
+    return JohnsonValue(basis.c, tuple(out))
 
 
 def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=None):
@@ -219,7 +208,7 @@ def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=
     """
     jv = johnson(phi, k)
     mv = morita(phi, k, signs.epsilon, max_terms)
-    dual = symplectic_dual(mv.d2_invariant, signs.delta, k)
+    dual = symplectic_dual(mv.d2_invariant, signs.delta)
     diff = jv - dual
     ok = diff.is_zero()
     report = {
@@ -305,7 +294,7 @@ def calibrate_delta(epsilon: int, g: int = 2) -> int:
     jv = johnson(phi, 3)
     mv = morita(phi, 3, epsilon)
     for delta in (1, -1):
-        if symplectic_dual(mv.d2_invariant, delta, 3) == jv:
+        if symplectic_dual(mv.d2_invariant, delta) == jv:
             return delta
     raise RuntimeError("no duality sign reconciles the level-3 instance")
 

@@ -4,8 +4,9 @@ Gamma_k is the free group on n = 2g generators modulo stage k-1 of its
 lower central series (so Gamma_2 is the abelianization).  Its Mal'cev
 completion is modeled on the rational points of the free nilpotent Lie
 group of class c = k-1: an element is a group-like tensor, equal to
-exp(x) for a unique Lie element x, and equality of log coordinates is
-the equality authority.
+exp(x) for a unique Lie element x.  Elements are compared by their
+tensors, which determine the log, so no log is computed to test
+equality or to hash.
 
 Integral structure comes from Mal'cev coordinates of the second kind:
 every element of Gamma_k is uniquely a product, in basis order, of
@@ -35,7 +36,7 @@ from math import comb, factorial
 from .hall import HallBasis, LieElement, get_basis
 from .sparse import add_into
 from .tensor import TensorContext
-from .words import Endomorphism, Word, apply_endo, generator, generator_name
+from .words import MappingClassRep, Word, apply_endo, generator, generator_name
 
 __all__ = [
     "MalcevContext",
@@ -142,7 +143,8 @@ class MalcevContext:
     # -- group elements from words -----------------------------------------
 
     def word_group(self, w: Word) -> NilElement:
-        """Intern the element of w, built in one walk over its letters.
+        """The interned element of w; a new word is built in one walk over
+        its letters.
 
         The walk keeps the prefix's tensor with the coefficient at each
         word u multiplied by |u|!.  These scaled entries are integers: the
@@ -155,7 +157,10 @@ class MalcevContext:
         integer multiply-adds only.  Only w itself becomes a NilElement,
         with entries v / |u|!.
         """
-        return self._finish(w, self._walk(dict(_ONE), w.letters))
+        x = self._elements.get(w)
+        if x is None:
+            x = self._finish(w, self._walk(dict(_ONE), w.letters))
+        return x
 
     def _walk(self, t: dict, letters) -> dict:
         """Append letters to the scaled tensor t in place; returns t."""
@@ -344,7 +349,7 @@ class MalcevContext:
 
     # -- induced maps --------------------------------------------------------
 
-    def induced_lie_auto(self, phi: Endomorphism) -> tuple[LieElement, ...]:
+    def induced_lie_auto(self, phi: MappingClassRep) -> tuple[LieElement, ...]:
         """Columns (by basis index) of the induced Lie algebra endomorphism.
 
         Letters go to the log of their image word; a bracket [l, r] goes to
@@ -385,7 +390,7 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     return ctx.bch(x, y)
 
 
-def is_in_torelli(phi: Endomorphism, k: int) -> bool:
+def is_in_torelli(phi: MappingClassRep, k: int) -> bool:
     """Does phi act trivially on Gamma_k?  (Level-k Torelli membership.)"""
     ctx = get_context(2 * phi.g, k)
     return all(
@@ -394,7 +399,7 @@ def is_in_torelli(phi: Endomorphism, k: int) -> bool:
     )
 
 
-def induced_lie_auto(phi: Endomorphism, k: int) -> tuple[LieElement, ...]:
+def induced_lie_auto(phi: MappingClassRep, k: int) -> tuple[LieElement, ...]:
     return get_context(2 * phi.g, k).induced_lie_auto(phi)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "commutator",
     "conjugate",
     "boundary_word",
-    "Endomorphism",
     "MappingClassRep",
     "apply_endo",
     "compose",
@@ -172,45 +171,17 @@ def boundary_word(g: int) -> Word:
     return out
 
 
-class Endomorphism:
-    """A free-group endomorphism given by its generator images."""
-
-    __slots__ = ("g", "images")
-
-    def __init__(self, g: int, images: Iterable[Word]):
-        self.g = g
-        self.images = tuple(images)
-        if len(self.images) != 2 * g:
-            raise ValueError(f"need {2 * g} images, got {len(self.images)}")
-        for im in self.images:
-            for s in im:
-                if abs(s) > 2 * g:
-                    raise ValueError(f"image uses generator {abs(s)} beyond 2g={2 * g}")
-
-    def __call__(self, w: Word) -> Word:
-        return apply_endo(self, w)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Endomorphism)
-            and self.g == other.g
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.images))
-
-
-class MappingClassRep(Endomorphism):
-    """An automorphism fixing the boundary word, with explicit inverse images.
+class MappingClassRep:
+    """An automorphism fixing the boundary word, given by its generator
+    images and, optionally, the images under its inverse.
 
     The inverse images are caller-supplied data; verify_mapping_class checks
     that both compositions are the identity and that ell is fixed exactly.
-    Equality and hashing are inherited: the name and the inverse data are
-    bookkeeping, the automorphism is its images.
+    Equality and hashing read the images only: the name and the inverse
+    data are bookkeeping, the automorphism is its images.
     """
 
-    __slots__ = ("inverse_images", "name")
+    __slots__ = ("g", "images", "inverse_images", "name")
 
     def __init__(
         self,
@@ -219,10 +190,11 @@ class MappingClassRep(Endomorphism):
         inverse_images: Iterable[Word] | None,
         name: str | None = None,
     ):
-        super().__init__(g, images)
-        self.inverse_images = None if inverse_images is None else tuple(inverse_images)
-        if self.inverse_images is not None and len(self.inverse_images) != 2 * g:
-            raise ValueError("inverse images must list all 2g generators")
+        self.g = g
+        self.images = _check_images(g, images)
+        self.inverse_images = (
+            None if inverse_images is None else _check_images(g, inverse_images)
+        )
         self.name = name
 
     def inverse(self) -> "MappingClassRep":
@@ -233,15 +205,36 @@ class MappingClassRep(Endomorphism):
             nm = " ".join(_invert_token(t) for t in reversed(self.name.split()))
         return MappingClassRep(self.g, self.inverse_images, self.images, nm)
 
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, MappingClassRep)
+            and self.g == other.g
+            and self.images == other.images
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.images))
+
     def __repr__(self) -> str:
         return f"MappingClassRep(g={self.g}, name={self.name!r})"
+
+
+def _check_images(g: int, images: Iterable[Word]) -> tuple[Word, ...]:
+    out = tuple(images)
+    if len(out) != 2 * g:
+        raise ValueError(f"need {2 * g} images, got {len(out)}")
+    for im in out:
+        for s in im:
+            if abs(s) > 2 * g:
+                raise ValueError(f"image uses generator {abs(s)} beyond 2g={2 * g}")
+    return out
 
 
 def _invert_token(tok: str) -> str:
     return tok[:-3] if tok.endswith("^-1") else tok + "^-1"
 
 
-def apply_endo(phi: Endomorphism, w: Word) -> Word:
+def apply_endo(phi: MappingClassRep, w: Word) -> Word:
     """Image of w under phi: the letter images, concatenated and freely
     reduced once by Word.make."""
     out: list[int] = []
@@ -251,20 +244,30 @@ def apply_endo(phi: Endomorphism, w: Word) -> Word:
     return Word.make(out)
 
 
-def compose(phi: MappingClassRep, psi: MappingClassRep) -> MappingClassRep:
-    """(phi . psi)(x) = phi(psi(x))."""
-    if phi.g != psi.g:
+def compose(*factors: MappingClassRep) -> MappingClassRep:
+    """The composite f1 . f2 . ... . fn, so (f1 . f2)(x) = f1(f2(x)).
+
+    The composite has inverse images when every factor has them, and a
+    name, the factors' names joined by spaces, when every factor has one.
+    """
+    if not factors:
+        raise ValueError("compose needs at least one mapping class")
+    g = factors[0].g
+    if any(f.g != g for f in factors):
         raise ValueError("genus mismatch")
-    images = tuple(apply_endo(phi, im) for im in psi.images)
+    images = factors[-1].images
+    for f in reversed(factors[:-1]):
+        images = tuple(apply_endo(f, im) for im in images)
     inv = None
-    if phi.inverse_images is not None and psi.inverse_images is not None:
-        phi_inv = phi.inverse()
-        psi_inv = psi.inverse()
-        inv = tuple(apply_endo(psi_inv, im) for im in phi_inv.images)
+    if all(f.inverse_images is not None for f in factors):
+        inv = factors[0].inverse_images
+        for f in factors[1:]:
+            f_inv = f.inverse()
+            inv = tuple(apply_endo(f_inv, im) for im in inv)
     nm = None
-    if phi.name and psi.name:
-        nm = phi.name + " " + psi.name
-    return MappingClassRep(phi.g, images, inv, nm)
+    if all(f.name for f in factors):
+        nm = " ".join(f.name for f in factors)
+    return MappingClassRep(g, images, inv, nm)
 
 
 def identity_mapping_class(g: int) -> MappingClassRep:
@@ -274,7 +277,7 @@ def identity_mapping_class(g: int) -> MappingClassRep:
 
 def verify_mapping_class(rep: MappingClassRep) -> bool:
     """True iff rep has honest inverses and fixes the boundary word exactly."""
-    if not isinstance(rep, MappingClassRep) or rep.inverse_images is None:
+    if rep.inverse_images is None:
         raise ValueError(
             "verification needs inverse images; supply them explicitly "
             "(automorphism recognition is out of scope)"
@@ -290,7 +293,7 @@ def verify_mapping_class(rep: MappingClassRep) -> bool:
     return apply_endo(rep, ell) == ell
 
 
-def h_action(phi: Endomorphism) -> tuple[tuple[int, ...], ...]:
+def h_action(phi: MappingClassRep) -> tuple[tuple[int, ...], ...]:
     """Induced matrix on H1: column j is the exponent-sum vector of phi(x_{j+1})."""
     n = 2 * phi.g
     cols = []
@@ -303,6 +306,15 @@ def h_action(phi: Endomorphism) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+# z on a1, b1, a2, b2: (image, inverse image)
+_Z_WORDS = (
+    ("a1 b1^-1 a2", "a1 a2^-1 b1"),
+    ("a2^-1 b1 a2", "b1^-1 a2 b1 a2^-1 b1"),
+    ("a2^-1 b1 a2 b1^-1 a2", "b1^-1 a2 b1"),
+    ("b2 b1^-1 a2", "b2 a2^-1 b1"),
+)
+
+
 def catalog(g: int) -> dict[str, MappingClassRep]:
     """Named, verified mapping classes for genus g >= 2.
 
@@ -310,42 +322,40 @@ def catalog(g: int) -> dict[str, MappingClassRep]:
     u{i}:    b_i -> b_i a_i             (transvection along a_i)
     conj_l:  x -> ell x ell^-1          (boundary twist)
     sep1:    conjugation of the first handle by gamma = [a1,b1]
+    z:       a boundary-fixing automorphism of handles 1-2 whose action
+             on H1 mixes them; it fixes the other generators
+    P:       u2^-1 u2^-1 (z u1 t1^-1)^4, a bounding-pair map from the
+             chain relation (Farb-Margalit, A Primer on Mapping Class
+             Groups): trivial on H1, with a nonzero Johnson value at k=2,
+             so its commutators reach deeper levels
     """
     if g < 2:
         raise ValueError("catalog needs genus >= 2")
     gens = tuple(generator(i) for i in range(1, 2 * g + 1))
     out: dict[str, MappingClassRep] = {}
 
+    def add(name: str, moved: dict[int, tuple[Word, Word]]) -> None:
+        # generator i + 1 -> moved[i] = (image, inverse image); others fixed
+        ims, inv = list(gens), list(gens)
+        for i, (im, iv) in moved.items():
+            ims[i], inv[i] = im, iv
+        out[name] = MappingClassRep(g, ims, inv, name)
+
     for i in range(g):
         a, b = gens[2 * i], gens[2 * i + 1]
-        ims = list(gens)
-        ims[2 * i] = a * b
-        inv = list(gens)
-        inv[2 * i] = a * ~b
-        out[f"t{i + 1}"] = MappingClassRep(g, ims, inv, f"t{i + 1}")
-
-        ims = list(gens)
-        ims[2 * i + 1] = b * a
-        inv = list(gens)
-        inv[2 * i + 1] = b * ~a
-        out[f"u{i + 1}"] = MappingClassRep(g, ims, inv, f"u{i + 1}")
+        add(f"t{i + 1}", {2 * i: (a * b, a * ~b)})
+        add(f"u{i + 1}", {2 * i + 1: (b * a, b * ~a)})
 
     ell = boundary_word(g)
-    out["conj_l"] = MappingClassRep(
-        g,
-        tuple(conjugate(x, ell) for x in gens),
-        tuple(conjugate(x, ~ell) for x in gens),
-        "conj_l",
-    )
+    add("conj_l", {i: (conjugate(x, ell), conjugate(x, ~ell)) for i, x in enumerate(gens)})
 
     gamma = commutator(gens[0], gens[1])
-    ims = list(gens)
-    ims[0] = conjugate(gens[0], gamma)
-    ims[1] = conjugate(gens[1], gamma)
-    inv = list(gens)
-    inv[0] = conjugate(gens[0], ~gamma)
-    inv[1] = conjugate(gens[1], ~gamma)
-    out["sep1"] = MappingClassRep(g, ims, inv, "sep1")
+    add("sep1", {i: (conjugate(gens[i], gamma), conjugate(gens[i], ~gamma)) for i in (0, 1)})
+
+    add("z", {i: (parse_word(im), parse_word(iv)) for i, (im, iv) in enumerate(_Z_WORDS)})
+    t1, u1, u2, z = (out[name] for name in ("t1", "u1", "u2", "z"))
+    p = compose(u2.inverse(), u2.inverse(), *[z, u1, t1.inverse()] * 4)
+    out["P"] = MappingClassRep(g, p.images, p.inverse_images, "P")
 
     for name, rep in out.items():
         if not verify_mapping_class(rep):

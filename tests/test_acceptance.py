@@ -9,14 +9,7 @@ import random
 import time
 from math import comb
 
-from torelli.words import (
-    Word,
-    word,
-    catalog,
-    compose,
-    identity_mapping_class,
-    parse_automorphism,
-)
+from torelli.words import Word, catalog, compose
 from torelli.hall import get_basis, lie_generator
 from torelli.malcev import get_context, induced_lie_auto, is_in_torelli
 from torelli.ce import (
@@ -39,50 +32,18 @@ from torelli.homs import (
 
 rng = random.Random(10221008)
 
-# a boundary-fixing genus-2 automorphism whose action on H mixes the handles
-Z_IMAGES = """
-a1 -> a1 b1^-1 a2
-b1 -> a2^-1 b1 a2
-a2 -> a2^-1 b1 a2 b1^-1 a2
-b2 -> b2 b1^-1 a2
-inverse
-a1 -> a1 a2^-1 b1
-b1 -> b1^-1 a2 b1 a2^-1 b1
-a2 -> b1^-1 a2 b1
-b2 -> b2 a2^-1 b1
-"""
-
-
-def product(*factors):
-    """The composite factors[0] . factors[1] . ... of mapping classes."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = compose(out, f)
-    return out
-
-
-def commutator_class(a, b):
-    return product(a, b, a.inverse(), b.inverse())
-
-
 def bounding_pair_instances():
-    """(label, mapping class, k) for chain comparisons with nonzero values.
-
-    P = u2^-1 u2^-1 (z u1 t1^-1)^4 is a bounding-pair map from the chain
-    relation (Farb-Margalit, Primer), so it lies in the Torelli group.
-    Commutators with a second Torelli class go one level deeper each:
-    [P, t2 P t2^-1] at k=3, and [P, Y] with Y = t2 z^-1 sep1 z t2^-1 at
-    k=4.
-    """
+    """(label, mapping class, k) for chain comparisons with nonzero values:
+    the catalog's bounding-pair map P, and its commutators with a second
+    Torelli class, one level deeper each (Y = t2 z^-1 sep1 z t2^-1)."""
     cat = catalog(2)
-    t1, u1, t2, u2, sep1 = (cat[name] for name in ("t1", "u1", "t2", "u2", "sep1"))
-    z = parse_automorphism(Z_IMAGES, 2, name="z")
-    p = product(u2.inverse(), u2.inverse(), *[z, u1, t1.inverse()] * 4)
-    y = product(t2, z.inverse(), sep1, z, t2.inverse())
+    p, t2, z, sep1 = (cat[name] for name in ("P", "t2", "z", "sep1"))
+    q = compose(t2, p, t2.inverse())
+    y = compose(t2, z.inverse(), sep1, z, t2.inverse())
     return [
         ("P", p, 2),
-        ("[P, t2 P t2^-1]", commutator_class(p, product(t2, p, t2.inverse())), 3),
-        ("[P, Y]", commutator_class(p, y), 4),
+        ("[P, t2 P t2^-1]", compose(p, q, p.inverse(), q.inverse()), 3),
+        ("[P, Y]", compose(p, y, p.inverse(), y.inverse()), 4),
     ]
 
 
@@ -227,10 +188,10 @@ def test_chain_level_comparison_flagship(signs):
         ("sep1^-1", sep1.inverse()),
         ("conj_l sep1", compose(conj_l, sep1)),
         ("sep1 conj_l", compose(sep1, conj_l)),
-        ("t1 sep1 t1^-1", compose(compose(t1, sep1), t1.inverse())),
-        ("u1 sep1 u1^-1", compose(compose(u1, sep1), u1.inverse())),
-        ("t2 conj_l t2^-1", compose(compose(t2, conj_l), t2.inverse())),
-        ("u2 conj_l u2^-1", compose(compose(u2, conj_l), u2.inverse())),
+        ("t1 sep1 t1^-1", compose(t1, sep1, t1.inverse())),
+        ("u1 sep1 u1^-1", compose(u1, sep1, u1.inverse())),
+        ("t2 conj_l t2^-1", compose(t2, conj_l, t2.inverse())),
+        ("u2 conj_l u2^-1", compose(u2, conj_l, u2.inverse())),
     ]
     assert len(instances) >= 9  # delta was frozen on one instance
     for label, phi in instances:
@@ -271,10 +232,10 @@ def test_kernel_law():
         sep1.inverse(),
         compose(conj_l, sep1),
         compose(sep1, conj_l),
-        compose(compose(t1, sep1), t1.inverse()),
-        compose(compose(u1, conj_l), u1.inverse()),
-        compose(compose(conj_l, sep1), compose(conj_l.inverse(), sep1.inverse())),
-        compose(compose(sep1, conj_l), compose(sep1.inverse(), conj_l.inverse())),
+        compose(t1, sep1, t1.inverse()),
+        compose(u1, conj_l, u1.inverse()),
+        compose(conj_l, sep1, conj_l.inverse(), sep1.inverse()),
+        compose(sep1, conj_l, sep1.inverse(), conj_l.inverse()),
     ]
     # bounding-pair classes from the chain relation: P and its conjugates
     # have a nonzero k=2 value, the two commutators a zero one
@@ -283,8 +244,8 @@ def test_kernel_law():
     chain_classes = [
         p,
         p.inverse(),
-        product(t2, p, t2.inverse()),
-        product(u1, p, u1.inverse()),
+        compose(t2, p, t2.inverse()),
+        compose(u1, p, u1.inverse()),
         p_comm,
         p_y,
     ]
@@ -369,16 +330,15 @@ def test_level3_invariant_detects_conj_l(signs):
 def test_level5_commutator_johnson_k5():
     t0 = time.monotonic()
     cat = catalog(2)
-    sep1, t2 = cat["sep1"], cat["t2"]
-    z = parse_automorphism(Z_IMAGES, 2, name="z")
-    w = compose(compose(z, sep1), z.inverse())
-    y = compose(compose(compose(sep1, w), sep1.inverse()), w.inverse())
+    sep1, t2, z = cat["sep1"], cat["t2"], cat["z"]
+    w = compose(z, sep1, z.inverse())
+    y = compose(sep1, w, sep1.inverse(), w.inverse())
     assert is_in_torelli(y, 5)
     assert johnson(y, 4).is_zero()
     jv = johnson(y, 5)
     assert sum(1 for v in jv.values for cf in v.coeffs.values() if cf) == 20
     assert all(v.is_integral() for v in jv.values)
-    moved = johnson(compose(compose(t2, y), t2.inverse()), 5)
+    moved = johnson(compose(t2, y, t2.inverse()), 5)
     assert moved == johnson_act(t2, jv, 5)
     assert moved != jv
     elapsed = time.monotonic() - t0

@@ -12,9 +12,7 @@ from torelli.words import (
     boundary_word,
     catalog,
     compose,
-    parse_automorphism,
 )
-from torelli.hall import get_basis
 from torelli.malcev import MalcevContext, get_context
 from torelli.sparse import add_into, collect
 from torelli.bar import (
@@ -32,7 +30,7 @@ from torelli.bar import (
     chain_to_jsonable,
 )
 
-from test_acceptance import Z_IMAGES, bounding_pair_instances, product
+from test_acceptance import bounding_pair_instances
 
 rng = random.Random(14142135)
 
@@ -329,14 +327,13 @@ def _check_scan(labels, n, k):
 
 def test_scan_matches_word_group_k3():
     cat = catalog(2)
-    sep1, t2 = cat["sep1"], cat["t2"]
-    z = parse_automorphism(Z_IMAGES, 2, name="z")
+    sep1, t2, z = cat["sep1"], cat["t2"], cat["z"]
     zi = z.inverse()
     classes = list(cat.values()) + [
-        product(z, sep1, zi),
-        product(zi, sep1, z),
-        product(z, z, sep1, zi, zi),
-        product(t2, z, sep1, zi, t2.inverse()),
+        compose(z, sep1, zi),
+        compose(zi, sep1, z),
+        compose(z, z, sep1, zi, zi),
+        compose(t2, z, sep1, zi, t2.inverse()),
     ]
     for phi in classes:
         _check_scan(_bound_labels(phi), 4, 3)

@@ -22,6 +22,11 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+@pytest.fixture
+def conf(tmp_path):
+    return str(tmp_path / "t.conf")
+
+
 @pytest.fixture(scope="session")
 def calibrated_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("conf") / "torelli.conf"
@@ -30,21 +35,18 @@ def calibrated_config(tmp_path_factory):
     return str(path)
 
 
-def test_hall_dims(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_hall_dims(capsys, conf):
     blob = run_json(capsys, "--config", conf, "hall-dims", "--n", "4", "--class", "3")
     assert blob == {"1": 4, "2": 6, "3": 20}
 
 
-def test_hall_dims_rejects_bad_args(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_hall_dims_rejects_bad_args(capsys, conf):
     code, _, err = run_cli(capsys, "--config", conf, "hall-dims", "--n", "0", "--class", "2")
     assert code == 2
     assert "positive" in err
 
 
-def test_homology(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_homology(capsys, conf):
     blob = run_json(
         capsys, "--config", conf, "homology", "--g", "2", "--k", "3", "--nmax", "2"
     )
@@ -73,13 +75,22 @@ def test_homology(capsys, tmp_path):
     ids=["log-k1", "homology-k1", "homology-g0", "homology-nmax-1", "cmodb-k1",
          "johnson-k1", "johnson-g0", "johnson-g1-catalog", "calibrate-g1"],
 )
-def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, argv, flag):
-    conf = str(tmp_path / "t.conf")
+def test_out_of_range_arguments_are_usage_errors(capsys, tmp_path, conf, argv, flag):
     code, out, err = run_cli(capsys, "--config", conf, *argv)
     assert code == 2
     assert out == ""
     assert f"{flag} must be >=" in err
     assert not (tmp_path / "t.conf").exists()
+
+
+def test_other_catalog_errors_are_not_reported_as_genus_errors(capsys, conf, monkeypatch):
+    def broken(g):
+        raise ValueError("catalog construction failed")
+
+    monkeypatch.setattr(cli, "catalog", broken)
+    with pytest.raises(ValueError, match="catalog construction failed"):
+        main(["--config", conf, "johnson", "--g", "2", "--k", "2", "--auto", "catalog:P"])
+    assert "--g must be" not in capsys.readouterr().err
 
 
 def test_homology_budget_exhaustion(capsys, tmp_path):
@@ -92,14 +103,12 @@ def test_homology_budget_exhaustion(capsys, tmp_path):
     assert "budget" in err
 
 
-def test_cmodb_dim(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_cmodb_dim(capsys, conf):
     blob = run_json(capsys, "--config", conf, "cmodb-dim", "--g", "2", "--k", "3")
     assert blob == {"c3_mod_b3": 75}
 
 
-def test_log(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_log(capsys, conf):
     blob = run_json(
         capsys,
         "--config", conf,
@@ -111,8 +120,7 @@ def test_log(capsys, tmp_path):
     assert sum(1 for e in nf if e) == 1 and 1 in nf
 
 
-def test_log_rejects_bad_word(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_log_rejects_bad_word(capsys, conf):
     code, _, err = run_cli(
         capsys, "--config", conf, "log", "--g", "2", "--k", "3", "--word", "zz"
     )
@@ -127,8 +135,7 @@ def test_log_rejects_bad_word(capsys, tmp_path):
     assert "a3" in err and "out of range" in err
 
 
-def test_johnson_identity_is_zero(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_johnson_identity_is_zero(capsys, conf):
     blob = run_json(
         capsys,
         "--config", conf,
@@ -138,8 +145,7 @@ def test_johnson_identity_is_zero(capsys, tmp_path):
     assert all(v == {} for v in blob["values"].values())
 
 
-def test_johnson_sep1(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_johnson_sep1(capsys, conf):
     blob = run_json(
         capsys,
         "--config", conf,
@@ -149,8 +155,7 @@ def test_johnson_sep1(capsys, tmp_path):
     assert blob["values"]["a1"] and blob["values"]["b1"]
 
 
-def test_johnson_non_torelli_exits_one(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_johnson_non_torelli_exits_one(capsys, conf):
     code, _, err = run_cli(
         capsys, "--config", conf, "johnson", "--g", "2", "--k", "2", "--auto", "catalog:t1"
     )
@@ -158,8 +163,7 @@ def test_johnson_non_torelli_exits_one(capsys, tmp_path):
     assert "Torelli" in err
 
 
-def test_unknown_catalog_name(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_unknown_catalog_name(capsys, conf):
     code, _, err = run_cli(
         capsys, "--config", conf, "johnson", "--g", "2", "--k", "2", "--auto", "catalog:zz"
     )
@@ -167,8 +171,7 @@ def test_unknown_catalog_name(capsys, tmp_path):
     assert "available" in err
 
 
-def test_auto_spec_neither_file_nor_catalog(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_auto_spec_neither_file_nor_catalog(capsys, tmp_path, conf):
     code, _, err = run_cli(
         capsys, "--config", conf,
         "johnson", "--g", "2", "--k", "2", "--auto", str(tmp_path / "nope.txt"),
@@ -176,8 +179,7 @@ def test_auto_spec_neither_file_nor_catalog(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_requires_calibration(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_verify_requires_calibration(capsys, conf):
     code, _, err = run_cli(capsys, "--config", conf, "verify", "--g", "2", "--k", "3")
     assert code == 2
     assert "calibrate" in err
@@ -289,16 +291,14 @@ def test_morita_rejects_a_class_that_moves_the_boundary_word(
     assert "boundary word" in err
 
 
-def test_morita_requires_calibration(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_morita_requires_calibration(capsys, conf):
     code, _, err = run_cli(
         capsys, "--config", conf, "morita", "--g", "2", "--k", "3", "--auto", "catalog:sep1"
     )
     assert code == 2
 
 
-def test_output_is_deterministic(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_output_is_deterministic(capsys, conf):
     argv = ["--config", conf, "johnson", "--g", "2", "--k", "3", "--auto", "catalog:conj_l"]
     code1, out1, _ = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv)
@@ -306,8 +306,7 @@ def test_output_is_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_suite_errors(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_suite_errors(capsys, tmp_path, conf):
     code, _, err = run_cli(
         capsys, "--config", conf, "verify", "--g", "2", "--k", "3",
         "--suite", str(tmp_path / "missing.txt"),
@@ -354,8 +353,7 @@ def test_config_parse_errors(capsys, tmp_path):
     assert code == 2
 
 
-def test_automorphism_file_input(capsys, tmp_path):
-    conf = str(tmp_path / "t.conf")
+def test_automorphism_file_input(capsys, tmp_path, conf):
     # describe sep1 by its generator images, then feed the file back in
     from torelli.words import catalog, format_word
 

@@ -119,6 +119,17 @@ def test_elements_are_interned_per_word():
         assert len(ctx._elements) == before + 1
 
 
+def test_word_group_returns_the_interned_element(monkeypatch):
+    ctx = MalcevContext(4, 3)
+    w = word("a1 b2 a1^-1 b1^-1 a2")
+    x = ctx.element(w)
+    nf = ctx.normal_form(x)
+    monkeypatch.setattr(ctx, "_walk", _forbidden)
+    assert ctx.word_group(w) is x
+    assert ctx.element(w) is x
+    assert x._nf is nf
+
+
 def test_word_group_retains_only_the_word():
     ctx = MalcevContext(4, 4)
     r = random.Random(27182818)

@@ -1,11 +1,12 @@
 """Free-group words, mapping classes, and the catalog."""
 
+import os
 import random
 
 import pytest
 
+from torelli.homs import johnson
 from torelli.words import (
-    Endomorphism,
     MappingClassRep,
     ParseError,
     apply_endo,
@@ -13,7 +14,6 @@ from torelli.words import (
     catalog,
     commutator,
     compose,
-    conjugate,
     format_word,
     generator,
     h_action,
@@ -85,10 +85,35 @@ def test_catalog_verified_and_fixes_boundary():
     for g in (2, 3):
         cat = catalog(g)
         ell = boundary_word(g)
-        assert set(cat) >= {"t1", "u1", "conj_l", "sep1"}
+        assert set(cat) >= {"t1", "u1", "conj_l", "sep1", "z", "P"}
         for name, rep in cat.items():
             assert verify_mapping_class(rep), name
             assert apply_endo(rep, ell) == ell, name
+
+
+def test_catalog_z_and_bounding_pair_map():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "z.aut")) as fh:
+        bench_z = parse_automorphism(fh.read(), 2, name="z")
+    for g in (2, 3):
+        cat = catalog(g)
+        t1, u1, u2, z, p = (cat[name] for name in ("t1", "u1", "u2", "z", "P"))
+        # the benchmark's z, on the first two handles
+        assert z.images[:4] == bench_z.images
+        assert z.inverse_images[:4] == bench_z.inverse_images
+        assert z.images[4:] == z.inverse_images[4:] == identity_mapping_class(g).images[4:]
+        assert p == compose(u2.inverse(), u2.inverse(), *[z, u1, t1.inverse()] * 4)
+        eye = tuple(tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g))
+        assert h_action(z) != eye
+        assert h_action(p) == eye
+        assert not johnson(p, 2).is_zero()
+
+
+def test_images_are_range_checked():
+    gens = tuple(generator(i) for i in (1, 2, 3, 4))
+    far = gens[:3] + (generator(5),)
+    for images, inverse in ((far, gens), (gens, far), (gens, gens[:3])):
+        with pytest.raises(ValueError):
+            MappingClassRep(2, images, inverse)
 
 
 def test_catalog_needs_genus_two():
@@ -106,6 +131,15 @@ def test_compose_and_inverse():
     inv = fs.inverse()
     for w in (word("a1"), word("b2 a1^-1")):
         assert apply_endo(inv, apply_endo(fs, w)) == w
+    # n-ary compose is the nested one, inverse images and name included
+    z, t = cat["z"], cat["t2"].inverse()
+    flat = compose(z, s, t)
+    for nested in (compose(compose(z, s), t), compose(z, compose(s, t))):
+        assert (nested, nested.inverse_images) == (flat, flat.inverse_images)
+        assert nested.name == flat.name == "z sep1 t2^-1"
+    assert compose(z, MappingClassRep(2, s.images, None), t).inverse_images is None
+    with pytest.raises(ValueError, match="genus"):
+        compose(z, catalog(3)["t1"])
 
 
 def test_verify_rejects_missing_inverse():
