@@ -6,7 +6,7 @@ go through truncated tensor multiplication, and logs land in the free
 nilpotent Lie algebra.  Everything is exact rational arithmetic.
 """
 
-from torelli.words import word, commutator, generator
+from torelli.words import word
 from torelli.malcev import get_context
 
 ctx = get_context(4, 4)  # Gamma_4 on four letters: class-3 nilpotent

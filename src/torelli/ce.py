@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .hall import HallBasis, LieElement, get_basis
 from .linalg import rank_bareiss, rank_gauss

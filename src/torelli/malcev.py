@@ -22,10 +22,13 @@ A context interns one element per free-group word, so the log and
 normal form of a word are computed once, however often it occurs.  A
 word's tensor is built letter by letter in one integer tensor
 (coefficients at words of length r scaled by r!), so no Fraction
-arithmetic is done until the word's element is made.  No prefix is kept
-past the call that builds it: a batch of words is built in one sorted
-scan that holds, locally, only the scaled tensors of the words on its
-current path.
+arithmetic is done until the word's element is made.  During the walk
+the tensor is one dict per word length, keyed by integer codes of the
+words, and each letter updates the lengths in descending order, so it
+needs no snapshot of the entries it reads (see `MalcevContext._walk`).
+No prefix is kept past the call that builds it: a batch of words is
+built in one sorted scan that holds, locally, only the scaled tensors of
+the words on its current path.
 """
 
 from __future__ import annotations
@@ -127,18 +130,22 @@ class MalcevContext:
         self._elements: dict[Word, NilElement] = {Word.make(()): self.identity()}
         self._cocycle: dict[tuple, LieElement] = {}
         self._powers: dict[tuple, dict] = {}
-        c = self.c
-        # letter s appended to a word of length r: [(s-run of length m,
-        # (+-1)^m C(r+m, m)) for m = 1..c-r], indexed by r
+        n, c = self.n, self.c
+        # letter s appended to a word of length r < c: [(r + m, n^m, code of
+        # the run |s|^m, (+-1)^m C(r+m, m)) for m = 1..c-r], indexed by r
         self._steps: dict[int, list] = {
             s: [
-                [((abs(s),) * m, (1 if s > 0 else -1) ** m * comb(r + m, m))
+                [(r + m, n**m, (abs(s) - 1) * sum(n**j for j in range(m)),
+                  (1 if s > 0 else -1) ** m * comb(r + m, m))
                  for m in range(1, c - r + 1)]
-                for r in range(c + 1)
+                for r in range(c)
             ]
             for s in range(-n, n + 1)
             if s
         }
+        # the word of each code, one table per length, filled on first use
+        # so that equal words in different elements share one tuple
+        self._words: list[dict[int, tuple]] = [{} for _ in range(c + 1)]
 
     # -- group elements from words -----------------------------------------
 
@@ -154,16 +161,32 @@ class MalcevContext:
         multinomial coefficient.  Appending the letter +-i sends the entry
         v at u (|u| = r) to (+-1)^m C(r+m, m) v at u i^m for m = 0..c-r,
         which is exp(+-x_i) on the right in scaled form, so a step is
-        integer multiply-adds only.  Only w itself becomes a NilElement,
-        with entries v / |u|!.
+        integer multiply-adds only.  The scaled tensor is held as one dict
+        per word length r, keyed by the integer code of u in base n (see
+        `_walk`).  Only w itself becomes a NilElement, with entries
+        v / |u|!.
         """
         x = self._elements.get(w)
         if x is None:
-            x = self._finish(w, self._walk(dict(_ONE), w.letters))
+            x = self._finish(w, self._walk(self._one(), w.letters))
         return x
 
-    def _walk(self, t: dict, letters) -> dict:
-        """Append letters to the scaled tensor t in place; returns t."""
+    def _one(self) -> list[dict]:
+        """The scaled tensor of the empty word, by length."""
+        return [{0: 1}] + [{} for _ in range(self.c)]
+
+    def _walk(self, layers: list[dict], letters) -> list[dict]:
+        """Append letters to the scaled tensor in place; returns it.
+
+        layers[r] maps the code sum_j (u_j - 1) n^(r-1-j) of a word u of
+        length r to its scaled entry, so appending the run i^m is
+        u * n^m + (code of i^m), in layer r + m.  Each letter reads the
+        layers from r = c-1 down to 0: layer r is written only from
+        shorter layers, which are read after it, so every step reads the
+        entries from before the letter without a copy.  Words of length c
+        cannot grow, and layer c is never read.
+        """
+        top = self.c - 1
         for s in letters:
             steps = self._steps.get(s)
             if steps is None:
@@ -171,24 +194,38 @@ class MalcevContext:
                     f"letter {generator_name(abs(s))} is out of range: "
                     f"Gamma_{self.k} has {self.n} generators"
                 )
-            # steps read the entries before this letter; m = 0 stays in place
-            for u, v in list(t.items()):
-                for run, f in steps[len(u)]:
-                    key = u + run
-                    nv = t.get(key, 0) + f * v
-                    if nv:
-                        t[key] = nv
-                    else:
-                        del t[key]
-        return t
+            for r in range(top, -1, -1):
+                src = layers[r]
+                for rm, pw, run, f in steps[r]:
+                    dst = layers[rm]
+                    get = dst.get
+                    for u, v in src.items():
+                        key = u * pw + run
+                        nv = get(key, 0) + f * v
+                        if nv:
+                            dst[key] = nv
+                        else:
+                            del dst[key]
+        return layers
 
-    def _finish(self, w: Word, t: dict) -> NilElement:
-        """Intern w's element from its scaled tensor t, which is left as is."""
+    def _finish(self, w: Word, layers: list[dict]) -> NilElement:
+        """Intern w's element from its scaled tensor, which is left as is."""
+        n = self.n
         out = {}
-        for u, v in t.items():
-            d = factorial(len(u))
-            q, rem = divmod(v, d)
-            out[u] = Fraction(v, d) if rem else q
+        for r, layer in enumerate(layers):
+            words = self._words[r]
+            d = factorial(r)
+            for code, v in layer.items():
+                u = words.get(code)
+                if u is None:
+                    digits = []
+                    rest = code
+                    for _ in range(r):
+                        rest, i = divmod(rest, n)
+                        digits.append(i + 1)
+                    u = words[code] = tuple(reversed(digits))
+                q, rem = divmod(v, d)
+                out[u] = Fraction(v, d) if rem else q
         x = self._elements[w] = NilElement(self, out)
         return x
 
@@ -211,21 +248,20 @@ class MalcevContext:
             else:
                 out[w] = x
         new.sort(key=lambda w: w.letters)
-        path: list[tuple] = []  # (letters, scaled tensor) along the path
+        path: list[tuple] = []  # (letters, scaled layers) along the path
         for w in new:
             letters = w.letters
             while path and letters[: len(path[-1][0])] != path[-1][0]:
                 path.pop()
-            done, t = path[-1] if path else ((), _ONE)
-            t = self._walk(dict(t), letters[len(done):])
-            path.append((letters, t))
-            out[w] = self._finish(w, t)
+            done, layers = path[-1] if path else ((), self._one())
+            layers = self._walk([dict(layer) for layer in layers], letters[len(done):])
+            path.append((letters, layers))
+            out[w] = self._finish(w, layers)
         return out
 
     def element(self, w: Word) -> NilElement:
         """The one shared element of a word; it caches its log and normal form."""
-        x = self._elements.get(w)
-        return x if x is not None else self.word_group(w)
+        return self.word_group(w)
 
     def log_word(self, w: Word) -> LieElement:
         return self.element(w).log

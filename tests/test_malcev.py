@@ -32,6 +32,16 @@ def random_word(n, max_len=8):
     return Word.make(letters)
 
 
+def _reduced_letters(r, n, length):
+    """`length` random letters on n generators, no letter next to its inverse."""
+    letters = []
+    while len(letters) < length:
+        s = r.choice((1, -1)) * r.randint(1, n)
+        if not letters or letters[-1] != -s:
+            letters.append(s)
+    return letters
+
+
 def test_log_of_commutator_class3():
     ctx = get_context(2, 4)
     lw = ctx.log_word(commutator(generator(1), generator(2)))
@@ -132,14 +142,7 @@ def test_word_group_returns_the_interned_element(monkeypatch):
 
 def test_word_group_retains_only_the_word():
     ctx = MalcevContext(4, 4)
-    r = random.Random(27182818)
-    letters = []
-    while len(letters) < 2000:
-        s = r.choice((1, -1)) * r.randint(1, 4)
-        if letters and letters[-1] == -s:
-            continue
-        letters.append(s)
-    w = Word.make(letters)
+    w = Word.make(_reduced_letters(random.Random(27182818), 4, 2000))
     assert len(w) == 2000
     tracemalloc.start()
     try:
@@ -152,13 +155,7 @@ def test_word_group_retains_only_the_word():
 
 
 def test_scan_retains_only_the_requested_elements():
-    r = random.Random(31415926)
-    letters = []
-    while len(letters) < 600:
-        s = r.choice((1, -1)) * r.randint(1, 4)
-        if letters and letters[-1] == -s:
-            continue
-        letters.append(s)
+    letters = _reduced_letters(random.Random(31415926), 4, 600)
     # nested prefixes, so the scan's path holds ten tensors at its deepest
     # and branches off it
     words = [Word.make(letters[:m]) for m in range(60, 601, 60)]
@@ -205,7 +202,8 @@ def _runs_word(n, runs, max_run):
     return Word.make(letters)
 
 
-@pytest.mark.parametrize("n,c", [(2, 6), (4, 5), (6, 3)])
+# at n = 8 the letter codes of the walk are base-8 digits
+@pytest.mark.parametrize("n,c", [(2, 6), (4, 5), (6, 3), (8, 3)])
 def test_word_group_matches_fraction_walk(n, c):
     ctx = MalcevContext(n, c + 1)
     words = [random_word(n, max_len=12) for _ in range(10)]
@@ -215,6 +213,57 @@ def test_word_group_matches_fraction_walk(n, c):
     assert max(len(w) for w in words) >= 300
     for w in words:
         assert ctx.element(w).tensor == _fraction_walk(ctx, w)
+
+
+@pytest.mark.parametrize("n,c", [(2, 5), (4, 4)])
+def test_word_deep_in_the_lower_central_series_walks_to_one(n, c):
+    """A (c+1)-fold commutator is trivial at class c, so every entry the
+    walk makes cancels and is deleted again."""
+    r = random.Random(1414 + n)
+    w = Word.make(_reduced_letters(r, n, 6))
+    for _ in range(c):
+        w = commutator(w, Word.make(_reduced_letters(r, n, 5)))
+    assert len(w) >= 100
+    assert MalcevContext(n, c + 2).element(w).tensor != {(): 1}
+    ctx = MalcevContext(n, c + 1)
+    assert ctx._walk(ctx._one(), w.letters) == [{0: 1}] + [{}] * c
+    assert ctx.element(w).tensor == {(): 1} == _fraction_walk(ctx, w)
+
+
+class _WriteOnly(dict):
+    """A layer the walk may write into but must never read through."""
+
+    def _read(self, *args):
+        raise AssertionError("the walk read the layer of full-length words")
+
+    items = keys = values = __iter__ = _read
+
+
+def test_walk_never_reads_the_layer_of_full_length_words():
+    ctx = MalcevContext(4, 5)
+    w = _runs_word(4, 200, 2)
+    layers = ctx._one()
+    layers[ctx.c] = _WriteOnly()
+    ctx._walk(layers, w.letters)
+    layers[ctx.c] = dict(dict.items(layers[ctx.c]))
+    assert ctx._finish(w, layers).tensor == _fraction_walk(ctx, w)
+
+
+def test_scan_matches_word_group_genus3():
+    r = random.Random(2718)
+    letters = _reduced_letters(r, 6, 240)
+    # nested prefixes, branches off them, and words sharing no prefix
+    words = [Word.make(letters[:m]) for m in range(20, 241, 20)]
+    words += [Word.make(letters[:m] + _reduced_letters(r, 6, 9)) for m in range(10, 240, 40)]
+    words += [Word.make(_reduced_letters(r, 6, 30)) for _ in range(4)]
+    ctx = MalcevContext(6, 4)
+    scanned = ctx.elements(words)
+    oracle = MalcevContext(6, 4)
+    assert set(scanned) == set(words)
+    for w in words:
+        assert scanned[w].tensor == oracle.word_group(w).tensor, w
+    for w in words[::5]:
+        assert scanned[w].tensor == _fraction_walk(ctx, w), w
 
 
 def _forbidden(*args):

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from torelli.hall import LieElement, get_basis, lie_generator
+from torelli.hall import LieElement, get_basis
 from torelli.sparse import add_into
 from torelli.tensor import TensorContext
 
