@@ -16,7 +16,7 @@ print(ctx)
 w = word("a1 b1 a1^-1 b1^-1")
 lw = ctx.log_word(w)
 print(f"log[{w!r}] over the Hall basis:")
-for i, c in sorted(lw.coeffs.items()):
+for i, c in sorted(lw.terms.items()):
     print(f"  {c!s:>6}  {ctx.basis.name(i)}")
 print()
 
@@ -46,5 +46,5 @@ print()
 g, h = ctx.element(word("a1 b1")), ctx.element(word("b1 a1"))
 c = ctx.cocycle(g, h)
 print("extension cocycle c(g, h) for g = a1 b1, h = b1 a1, in weight 4:")
-for i, v in sorted(c.coeffs.items()):
+for i, v in sorted(c.terms.items()):
     print(f"  {v!s:>4}  {ctx.up().basis.name(i)}")

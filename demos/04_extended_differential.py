@@ -26,10 +26,9 @@ out = extended_differential(z, k)
 print("extended differential:", out)
 print()
 
-slots = read_h_tensor_l(out, k)
 print("read as an element of H tensor L:")
-for i, v in enumerate(slots):
-    print(f"  {generator_name(i + 1)} slot: {v if v.coeffs else 0}")
+for i, v in enumerate(read_h_tensor_l(out, k).values):
+    print(f"  {generator_name(i + 1)} slot: {v}")
 print()
 
 # boundaries die, so the map is well defined on homology classes

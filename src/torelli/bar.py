@@ -10,13 +10,13 @@ Gamma_k for its elements.  The module provides
     off Fox's free differential calculus,
   * the pushforward along pi -> Gamma_k,
   * the cap of a 3-cycle over Gamma_k against the central-extension
-    cocycle, landing in H tensor (weight-k layer); the global sign
+    cocycle, a `JohnsonValue` in H tensor (weight-k layer); the global sign
     epsilon of the cap is a calibration constant fixed elsewhere.
 """
 
 from __future__ import annotations
 
-from .hall import LieElement, get_basis
+from .hall import JohnsonValue, LieElement, get_basis
 from .malcev import MalcevContext, NilElement
 from .sparse import SparseChain, add_into, collect
 from .words import Word, apply_endo, boundary_word, format_word, word
@@ -221,14 +221,15 @@ def antisym_cycle(x: NilElement, y: NilElement, z: NilElement) -> BarChain:
     return bar_chain(3, items, x.ctx)
 
 
-def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
+def cap_d2(z: BarChain, epsilon: int) -> JohnsonValue:
     """Cap a 3-cycle over Gamma_k with the extension cocycle of
     1 -> L_{k+1} -> Gamma_{k+1} -> Gamma_k -> 1:
 
         [g1|g2|g3] -> epsilon * (exponent vector of g1) tensor c(g2, g3)
 
-    summed over terms.  Returns one weight-k Lie element per generator
-    slot.  Boundaries map to zero, so this is well defined on homology.
+    summed over terms.  Returns the level-k `JohnsonValue` holding one
+    weight-k Lie element per generator slot.  Boundaries map to zero, so
+    this is well defined on homology.
     """
     if z.degree != 3 or z.ctx is None:
         raise ValueError("cap needs a degree-3 chain over a truncated group")
@@ -240,16 +241,16 @@ def cap_d2(z: BarChain, epsilon: int) -> tuple[LieElement, ...]:
     slots: list[dict] = [{} for _ in range(ctx.n)]
     for (g1, g2, g3), coeff in z.terms.items():
         coc = ctx.cocycle(g2, g3)
-        if not coc.coeffs:
+        if not coc.terms:
             continue
         for i, a in g1.abelianization().items():
-            add_into(slots[i], coc.coeffs, epsilon * coeff * a)
+            add_into(slots[i], coc.terms, epsilon * coeff * a)
     up = get_basis(ctx.n, ctx.k)
     out = tuple(LieElement(up, s) for s in slots)
     for i, s in enumerate(out):
         if not s.is_integral():
             raise ArithmeticError(f"cap value at slot {i} is not integral")
-    return out
+    return JohnsonValue(ctx.k, out)
 
 
 def chain_to_jsonable(chain: BarChain) -> list:

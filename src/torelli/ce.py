@@ -26,9 +26,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from .hall import HallBasis, LieElement, get_basis
+from .hall import HallBasis, HallChain, JohnsonValue, LieElement, get_basis
 from .linalg import rank_bareiss, rank_gauss
-from .sparse import SparseChain, add_into, collect
+from .sparse import add_into, collect
 
 __all__ = [
     "WedgeChain",
@@ -62,10 +62,10 @@ def _sort_with_sign(tup: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class WedgeChain(SparseChain):
+class WedgeChain(HallChain):
     """Sparse element of Lambda^degree of a Hall-based Lie algebra."""
 
-    __slots__ = ("basis",)
+    __slots__ = ()
 
     def __init__(self, basis: HallBasis, degree: int, terms: dict | None = None):
         self.basis = basis
@@ -83,13 +83,6 @@ class WedgeChain(SparseChain):
 
     def _like(self) -> "WedgeChain":
         return WedgeChain(self.basis, self.degree)
-
-    def _check(self, other: "WedgeChain") -> None:
-        super()._check(other)
-        if self.basis is not other.basis and (
-            (self.basis.n, self.basis.c) != (other.basis.n, other.basis.c)
-        ):
-            raise ValueError("mixed ambient algebras")
 
     def weight_of(self, tup: tuple[int, ...]) -> int:
         w = self.basis.weights
@@ -330,9 +323,10 @@ def extended_differential(chain: WedgeChain, k: int) -> WedgeChain:
     return reduce_mod_high(ce_boundary(lift_chain(chain, up)), k)
 
 
-def read_h_tensor_l(chain: WedgeChain, k: int) -> tuple[LieElement, ...]:
-    """Read a reduced degree-2 chain as an element of H tensor L_{k+1}:
-    slot i collects the weight-k partners of generator i+1.
+def read_h_tensor_l(chain: WedgeChain, k: int) -> JohnsonValue:
+    """Read a reduced degree-2 chain as an element of H tensor L_{k+1}, a
+    `JohnsonValue` of level k: slot i collects the weight-k partners of
+    generator i+1.
 
     Every term must be (weight-1) ^ (weight-k); anything else means the
     input did not come from a 3-cycle."""
@@ -349,7 +343,7 @@ def read_h_tensor_l(chain: WedgeChain, k: int) -> tuple[LieElement, ...]:
                 f"(weight-1)^(weight-{k}): the input was not represented by a cycle"
             )
         slots[i][j] = v
-    return tuple(LieElement(basis, s) for s in slots)
+    return JohnsonValue(k, tuple(LieElement(basis, s) for s in slots))
 
 
 def act(cols: tuple[LieElement, ...], chain: WedgeChain) -> WedgeChain:
@@ -360,7 +354,7 @@ def act(cols: tuple[LieElement, ...], chain: WedgeChain) -> WedgeChain:
         # distinct (prefix, index) pairs give distinct tuples: nothing to merge
         partial: dict[tuple[int, ...], Fraction | int] = {(): coeff}
         for idx in tup:
-            col = cols[idx].coeffs
+            col = cols[idx].terms
             partial = {t + (i,): tv * v for t, tv in partial.items() for i, v in col.items()}
         add_into(out, partial)
     return WedgeChain(chain.basis, chain.degree, out)

@@ -17,7 +17,7 @@ import sys
 
 from .bar import chain_to_jsonable
 from .ce import BudgetExceeded, c_mod_b_dim, homology_dims
-from .hall import get_basis
+from .hall import get_basis, lie_to_jsonable
 from .homs import (
     Signs,
     calibrate_delta,
@@ -25,7 +25,6 @@ from .homs import (
     johnson,
     jv_to_jsonable,
     morita,
-    tensor_to_jsonable,
     verify_morita_johnson,
 )
 from .malcev import get_context
@@ -278,7 +277,7 @@ def run(args: argparse.Namespace) -> int:
         emit(
             {
                 "k": args.k,
-                "log": {ctx.basis.name(i): str(c) for i, c in sorted(x.log.coeffs.items())},
+                "log": lie_to_jsonable(x.log),
                 "normal_form": list(ctx.normal_form(x)),
             }
         )
@@ -305,7 +304,7 @@ def run(args: argparse.Namespace) -> int:
         out = {
             "k": args.k,
             "cycle_terms": len(mv.cycle),
-            "d2_invariant": tensor_to_jsonable(mv.d2_invariant),
+            "d2_invariant": jv_to_jsonable(mv.d2_invariant)["values"],
         }
         if args.cycle:
             out["cycle"] = chain_to_jsonable(mv.cycle)
@@ -359,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
+    except (UsageError, BudgetExceeded) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -17,6 +17,11 @@ recursion terminates because each step lowers (weight of the right factor
 is fixed, left factors shrink); all structure constants come out integral.
 Per-weight dimensions are never assumed: tests enumerate Lyndon words
 independently and check Witt's necklace count.
+
+A `LieElement` is a sparse chain (`sparse.SparseChain`) keyed by basis
+index, so its vector arithmetic is the one shared by every chain kind.
+`JohnsonValue` is the one type for H (x) L: a weight-k Lie element per
+generator slot, the form of every Johnson value and cap invariant.
 """
 
 from __future__ import annotations
@@ -24,9 +29,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .sparse import add_into, collect
+from .sparse import SparseChain, collect
 
-__all__ = ["HallBasis", "get_basis", "LieElement", "lie_generator"]
+__all__ = [
+    "HallBasis",
+    "get_basis",
+    "LieElement",
+    "JohnsonValue",
+    "lie_generator",
+    "lie_to_jsonable",
+]
 
 
 class HallBasis:
@@ -150,43 +162,39 @@ def get_basis(n: int, c: int) -> HallBasis:
     return b
 
 
-class LieElement:
-    """Sparse rational element of a free nilpotent Lie algebra."""
+class HallChain(SparseChain):
+    """A chain over a Hall basis: Lie elements and Chevalley-Eilenberg
+    wedges.  Operands must share the basis's (n, c)."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis: HallBasis, coeffs: dict[int, Fraction | int]):
+    def _check(self, other: "HallChain") -> None:
+        super()._check(other)
+        a, b = self.basis, other.basis
+        if a is not b and (a.n, a.c) != (b.n, b.c):
+            raise ValueError(f"mixed truncation levels: {a!r} vs {b!r}")
+
+
+class LieElement(HallChain):
+    """Sparse rational element of a free nilpotent Lie algebra: the
+    degree-1 chain of its Chevalley-Eilenberg complex, keyed by basis
+    index."""
+
+    __slots__ = ()
+
+    def __init__(self, basis: HallBasis, terms: dict[int, Fraction | int]):
         self.basis = basis
-        self.coeffs = {i: v for i, v in coeffs.items() if v}
+        self.degree = 1
+        self.terms = {i: v for i, v in terms.items() if v}
 
-    def _check(self, other: "LieElement") -> None:
-        if self.basis is not other.basis:
-            if (self.basis.n, self.basis.c) != (other.basis.n, other.basis.c):
-                raise ValueError(
-                    f"mixed truncation levels: {self.basis!r} vs {other.basis!r}"
-                )
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.basis, add_into(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.basis, add_into(dict(self.coeffs), other.coeffs, -1))
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.basis, {i: -v for i, v in self.coeffs.items()})
-
-    def scale(self, q) -> "LieElement":
-        if not q:
-            return LieElement(self.basis, {})
-        return LieElement(self.basis, {i: v * q for i, v in self.coeffs.items()})
+    def _like(self) -> "LieElement":
+        return LieElement(self.basis, {})
 
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check(other)
         out: dict[int, Fraction | int] = {}
-        for i, vi in self.coeffs.items():
-            for j, vj in other.coeffs.items():
+        for i, vi in self.terms.items():
+            for j, vj in other.terms.items():
                 sc = self.basis.bracket_indices(i, j)
                 if not sc:
                     continue
@@ -198,45 +206,71 @@ class LieElement:
     def weight_part(self, w: int) -> "LieElement":
         r = self.basis.weight_range(w)
         return LieElement(
-            self.basis, {i: v for i, v in self.coeffs.items() if i in r}
+            self.basis, {i: v for i, v in self.terms.items() if i in r}
         )
 
     def min_weight(self) -> int | None:
-        if not self.coeffs:
+        if not self.terms:
             return None
-        return min(self.basis.weight_of(i) for i in self.coeffs)
+        return min(self.basis.weight_of(i) for i in self.terms)
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())
+        return all(v.denominator == 1 for v in self.terms.values())
 
     def lift_to(self, basis: HallBasis) -> "LieElement":
         """Reinterpret in a larger class (zero in the new weights)."""
         if basis.c < self.basis.c:
             raise ValueError("can only lift to a larger class")
-        return LieElement(basis, dict(self.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._check(other)
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(other.coeffs.get(i) == v for i, v in self.coeffs.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return LieElement(basis, dict(self.terms))
 
     def __hash__(self) -> int:
         # hash(Fraction(2)) == hash(2), so equal coefficients hash alike
-        return hash((self.basis.n, self.basis.c, frozenset(self.coeffs.items())))
+        return hash((self.basis.n, self.basis.c, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for i in sorted(self.coeffs):
-            bits.append(f"{self.coeffs[i]}*{self.basis.name(i)}")
+        for i in sorted(self.terms):
+            bits.append(f"{self.terms[i]}*{self.basis.name(i)}")
         return " + ".join(bits)
+
+
+class JohnsonValue:
+    """An element of H (x) L_{k+1}: one weight-k Lie element per generator
+    slot, over the class-k basis.  Johnson values, Morita cap invariants,
+    read-offs of the extended differential and their symplectic duals
+    all take this one form."""
+
+    __slots__ = ("k", "values")
+
+    def __init__(self, k: int, values: tuple[LieElement, ...]):
+        self.k = k
+        self.values = values
+
+    def _pairs(self, other: "JohnsonValue"):
+        if self.k != other.k:
+            raise ValueError("mixed levels")
+        if len(self.values) != len(other.values):
+            raise ValueError("mixed genus")
+        return zip(self.values, other.values)
+
+    def __add__(self, other: "JohnsonValue") -> "JohnsonValue":
+        return JohnsonValue(self.k, tuple(a + b for a, b in self._pairs(other)))
+
+    def __sub__(self, other: "JohnsonValue") -> "JohnsonValue":
+        return JohnsonValue(self.k, tuple(a - b for a, b in self._pairs(other)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JohnsonValue):
+            return NotImplemented
+        return self.k == other.k and self.values == other.values
+
+    def is_zero(self) -> bool:
+        return not any(self.values)
+
+    def __repr__(self) -> str:
+        return f"JohnsonValue(k={self.k}, {self.values!r})"
 
 
 def lie_generator(basis: HallBasis, letter: int) -> LieElement:
@@ -247,3 +281,8 @@ def lie_generator(basis: HallBasis, letter: int) -> LieElement:
 
 def lie_from_items(basis: HallBasis, items: Iterable[tuple[int, Fraction | int]]) -> LieElement:
     return LieElement(basis, collect(items))
+
+
+def lie_to_jsonable(x: LieElement) -> dict[str, str]:
+    """{bracketing: coefficient as a string}, in basis order."""
+    return {x.basis.name(i): str(c) for i, c in sorted(x.terms.items())}

@@ -26,7 +26,7 @@ from .bar import (
     push,
 )
 from .ce import BudgetExceeded, WedgeChain, extended_differential, read_h_tensor_l
-from .hall import LieElement
+from .hall import JohnsonValue, LieElement, lie_to_jsonable
 from .malcev import act_lie, get_context, induced_lie_auto
 from .sparse import add_into
 from .words import (
@@ -51,7 +51,6 @@ __all__ = [
     "calibrate_epsilon",
     "calibrate_delta",
     "jv_to_jsonable",
-    "tensor_to_jsonable",
 ]
 
 
@@ -68,49 +67,13 @@ class Signs:
             raise ValueError("calibration signs must be +1 or -1")
 
 
-class JohnsonValue:
-    """Per-generator weight-k Lie elements: the value of the k-th Johnson
-    homomorphism as an element of Hom(H, weight-k layer)."""
-
-    __slots__ = ("k", "values")
-
-    def __init__(self, k: int, values: tuple[LieElement, ...]):
-        self.k = k
-        self.values = values
-
-    def _pairs(self, other: "JohnsonValue"):
-        if self.k != other.k:
-            raise ValueError("mixed levels")
-        if len(self.values) != len(other.values):
-            raise ValueError("mixed genus")
-        return zip(self.values, other.values)
-
-    def __add__(self, other: "JohnsonValue") -> "JohnsonValue":
-        return JohnsonValue(self.k, tuple(a + b for a, b in self._pairs(other)))
-
-    def __sub__(self, other: "JohnsonValue") -> "JohnsonValue":
-        return JohnsonValue(self.k, tuple(a - b for a, b in self._pairs(other)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JohnsonValue):
-            return NotImplemented
-        return self.k == other.k and self.values == other.values
-
-    def is_zero(self) -> bool:
-        return all(not v.coeffs for v in self.values)
-
-    def __repr__(self) -> str:
-        return f"JohnsonValue(k={self.k}, {self.values!r})"
-
-
 class MoritaValue:
     """A chain-level Morita value: a 3-cycle over Gamma_k plus its cap
-    against the extension cocycle (one weight-k Lie element per
-    generator slot)."""
+    against the extension cocycle, a level-k `JohnsonValue`."""
 
     __slots__ = ("k", "cycle", "d2_invariant")
 
-    def __init__(self, k: int, cycle: BarChain, d2_invariant: tuple[LieElement, ...]):
+    def __init__(self, k: int, cycle: BarChain, d2_invariant: JohnsonValue):
         self.k = k
         self.cycle = cycle
         self.d2_invariant = d2_invariant
@@ -128,7 +91,7 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     for i in range(2 * phi.g):
         x = word([i + 1])
         lw = ctx.log_word(apply_endo(phi, x) * ~x)
-        if lw.coeffs and lw.min_weight() < k:
+        if lw and lw.min_weight() < k:
             raise ValueError(
                 f"mapping class is not in the level-{k} Torelli group: "
                 f"log(phi(x) x^-1) has weight-{lw.min_weight()} terms "
@@ -141,21 +104,21 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     return JohnsonValue(k, tuple(values))
 
 
-def johnson_act(alpha: MappingClassRep, t: JohnsonValue, k: int) -> JohnsonValue:
-    """The mapping-class action on Hom(H, weight-k layer): twist the H
-    slot by the inverse abelianization matrix and the value slot by the
-    induced Lie automorphism one level up."""
+def johnson_act(alpha: MappingClassRep, t: JohnsonValue) -> JohnsonValue:
+    """The mapping-class action on Hom(H, weight-k layer), k = t.k: twist
+    the H slot by the inverse abelianization matrix and the value slot by
+    the induced Lie automorphism one level up."""
     n = 2 * alpha.g
     a_inv = h_action(alpha.inverse())
-    cols = induced_lie_auto(alpha, k + 1)
+    cols = induced_lie_auto(alpha, t.k + 1)
     basis = t.values[0].basis
     out = []
     for j in range(n):
         acc: dict = {}
         for i in range(n):
-            add_into(acc, t.values[i].coeffs, a_inv[i][j])
+            add_into(acc, t.values[i].terms, a_inv[i][j])
         out.append(act_lie(cols, LieElement(basis, acc)))
-    return JohnsonValue(k, tuple(out))
+    return JohnsonValue(t.k, tuple(out))
 
 
 def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> MoritaValue:
@@ -181,23 +144,19 @@ def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> Morita
     return MoritaValue(k, cycle, cap_d2(cycle, epsilon))
 
 
-def symplectic_dual(t: tuple[LieElement, ...], delta: int) -> JohnsonValue:
+def symplectic_dual(t: JohnsonValue, delta: int) -> JohnsonValue:
     """Apply duality H -> H* from the intersection pairing <a_i, b_i> = 1
-    to the H slot of a tensor in H (x) L: the a_i slot contributes
-    -delta at b_i and the b_i slot contributes +delta at a_i.  Cap values
-    at level k live over the class-k basis, so k is the class of t's."""
+    to the H slot of t, at the same level: the a_i slot contributes
+    -delta at b_i and the b_i slot contributes +delta at a_i."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    n = len(t)
-    if not n or n % 2:
+    v = t.values
+    if not v or len(v) % 2:
         raise ValueError("tensor needs one slot per generator, 2g of them")
-    basis = t[0].basis
-    out: list[LieElement] = [LieElement(basis, {})] * n
-    for m in range(n // 2):
-        ai, bi = 2 * m, 2 * m + 1
-        out[ai] = t[bi].scale(-delta)
-        out[bi] = t[ai].scale(delta)
-    return JohnsonValue(basis.c, tuple(out))
+    out = []
+    for ai in range(0, len(v), 2):
+        out += [v[ai + 1].scale(-delta), v[ai].scale(delta)]
+    return JohnsonValue(t.k, tuple(out))
 
 
 def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=None):
@@ -219,11 +178,9 @@ def verify_morita_johnson(phi: MappingClassRep, k: int, signs: Signs, max_terms=
     }
     if not ok:
         report["difference"] = {
-            generator_name(i + 1): {
-                jv.values[0].basis.name(j): str(c) for j, c in v.coeffs.items()
-            }
+            generator_name(i + 1): lie_to_jsonable(v)
             for i, v in enumerate(diff.values)
-            if v.coeffs
+            if v
         }
     return ok, report
 
@@ -274,9 +231,9 @@ def calibrate_epsilon(g: int = 2, seed: int = 0, trials: int = 20) -> int:
         got = cap_d2(antisym_cycle(*elts), 1)
         wedge = _wedge_of_abelian(ctx, elts)
         want = read_h_tensor_l(extended_differential(wedge, 2), 2)
-        if any(a != b for a, b in zip(got, want)):
+        if not (got - want).is_zero():
             plus_ok = False
-        if any(a.scale(-1) != b for a, b in zip(got, want)):
+        if not (got + want).is_zero():
             minus_ok = False
         if not plus_ok and not minus_ok:
             raise RuntimeError(
@@ -302,15 +259,10 @@ def calibrate_delta(epsilon: int, g: int = 2) -> int:
 # -- serialization helpers -----------------------------------------------------
 
 
-def tensor_to_jsonable(t: tuple[LieElement, ...]) -> dict:
-    out = {}
-    for i, v in enumerate(t):
-        basis = v.basis
-        out[generator_name(i + 1)] = {
-            basis.name(j): str(c) for j, c in sorted(v.coeffs.items())
-        }
-    return out
-
-
 def jv_to_jsonable(t: JohnsonValue) -> dict:
-    return {"k": t.k, "values": tensor_to_jsonable(t.values)}
+    return {
+        "k": t.k,
+        "values": {
+            generator_name(i + 1): lie_to_jsonable(v) for i, v in enumerate(t.values)
+        },
+    }

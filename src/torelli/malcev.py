@@ -327,7 +327,7 @@ class MalcevContext:
         for w in range(1, self.c + 1):
             coords = self.tc.to_lie({wd: v for wd, v in rem.items() if len(wd) == w})
             for i in self.basis.weight_range(w):
-                e = coords.coeffs.get(i, 0)
+                e = coords.terms.get(i, 0)
                 if e:
                     if e.denominator != 1:
                         raise ValueError(
@@ -442,6 +442,6 @@ def induced_lie_auto(phi: MappingClassRep, k: int) -> tuple[LieElement, ...]:
 def act_lie(cols: tuple[LieElement, ...], x: LieElement) -> LieElement:
     """Apply columns of a Lie endomorphism to an element, linearly."""
     out: dict = {}
-    for i, v in x.coeffs.items():
-        add_into(out, cols[i].coeffs, v)
+    for i, v in x.terms.items():
+        add_into(out, cols[i].terms, v)
     return LieElement(x.basis, out)

@@ -138,7 +138,7 @@ class TensorContext:
         if elt.basis is not self.basis and (elt.basis.n, elt.basis.c) != (self.n, self.c):
             raise ValueError("element belongs to a different truncation")
         out: Tensor = {}
-        for i, v in elt.coeffs.items():
+        for i, v in elt.terms.items():
             add_into(out, self.hall_image(i), v)
         return out
 
@@ -181,5 +181,5 @@ class TensorContext:
             cur = LieElement(basis, {wd[-1] - 1: Fraction(v, len(wd))})
             for letter in reversed(wd[:-1]):
                 cur = LieElement(basis, {letter - 1: 1}).bracket(cur)
-            add_into(out, cur.coeffs)
+            add_into(out, cur.terms)
         return LieElement(basis, out)

@@ -151,7 +151,7 @@ def test_jacobi_identity_random():
     for _ in range(40):
         x, y, z = (lie_rand(basis) for _ in range(3))
         lhs = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
-        assert not lhs.coeffs
+        assert not lhs.terms
 
 
 def test_jacobi_identity_exhaustive_basis_triples():
@@ -166,7 +166,7 @@ def test_jacobi_identity_exhaustive_basis_triples():
                     + y.bracket(z.bracket(x))
                     + z.bracket(x.bracket(y))
                 )
-                assert not s.coeffs, (i, j, k)
+                assert not s.terms, (i, j, k)
 
 
 def test_bilinearity():
@@ -183,9 +183,9 @@ def test_grading():
         w1, w2 = rng.randint(1, 2), rng.randint(1, 2)
         x, y = lie_rand(basis, w1), lie_rand(basis, w2)
         b = x.bracket(y)
-        if b.coeffs:
+        if b.terms:
             assert b.min_weight() == w1 + w2
-            assert all(basis.weights[i] == w1 + w2 for i in b.coeffs)
+            assert all(basis.weights[i] == w1 + w2 for i in b.terms)
 
 
 def test_lie_element_helpers():
@@ -193,8 +193,8 @@ def test_lie_element_helpers():
     x = lie_generator(basis, 1)
     y = lie_generator(basis, 2)
     b = x.bracket(y)
-    assert b.coeffs == {basis.index[(1, 2)]: 1}
-    assert b.weight_part(2) == b and not b.weight_part(1).coeffs
+    assert b.terms == {basis.index[(1, 2)]: 1}
+    assert b.weight_part(2) == b and not b.weight_part(1).terms
     assert b.is_integral()
     assert not LieElement(basis, {0: Fraction(1, 2)}).is_integral()
 

@@ -64,7 +64,7 @@ def test_johnson_sep1_closed_form():
     jv = johnson(catalog(2)["sep1"], 3)
     assert jv.values[0] == w1.bracket(X[0])
     assert jv.values[1] == w1.bracket(X[1])
-    assert not jv.values[2].coeffs and not jv.values[3].coeffs
+    assert not jv.values[2].terms and not jv.values[3].terms
 
 
 def test_johnson_vanishes_one_level_down():
@@ -117,8 +117,8 @@ def test_morita_cycle_properties(signs):
     assert mv.k == 3
     assert len(mv.cycle) == 28
     assert not bar_boundary(mv.cycle)
-    assert any(v.coeffs for v in mv.d2_invariant)
-    for v in mv.d2_invariant:
+    assert not mv.d2_invariant.is_zero()
+    for v in mv.d2_invariant.values:
         assert v == v.weight_part(3)
         assert v.is_integral()
 
@@ -196,23 +196,54 @@ def test_verify_reports_differences_on_wrong_sign(signs):
         assert all(isinstance(c, str) for c in entries.values())
 
 
+def test_every_h_tensor_l_producer_returns_a_johnson_value(signs):
+    from torelli.bar import cap_d2
+    from torelli.ce import WedgeChain, extended_differential, read_h_tensor_l
+
+    cycle = morita(catalog(2)["sep1"], 3, signs.epsilon).cycle
+    below = get_context(4, 2).basis
+    wedge = WedgeChain(below, 3, {(0, 1, 2): 1, (1, 2, 3): -2})
+    produced = {
+        "cap_d2": (3, cap_d2(cycle, signs.epsilon)),
+        "read_h_tensor_l": (2, read_h_tensor_l(extended_differential(wedge, 2), 2)),
+        "symplectic_dual": (3, symplectic_dual(cap_d2(cycle, 1), signs.delta)),
+        "johnson k=3": (3, johnson(catalog(2)["sep1"], 3)),
+        "johnson k=2": (2, johnson(catalog(2)["P"], 2)),
+    }
+    for name, (k, value) in produced.items():
+        assert isinstance(value, JohnsonValue), name
+        assert value.k == k, name
+        assert len(value.values) == 4, name
+        assert all(v.basis.c == k for v in value.values), name
+        assert not value.is_zero(), name
+    sep1, conj_l = catalog(2)["sep1"], catalog(2)["conj_l"]
+    three = produced["cap_d2"][1]
+    four = johnson(compose(sep1, conj_l, sep1.inverse(), conj_l.inverse()), 4)
+    assert four.k == 4 and len(four.values) == 4
+    for x, y in ((three, four), (four, three)):
+        with pytest.raises(ValueError, match="mixed levels"):
+            x + y
+        with pytest.raises(ValueError, match="mixed levels"):
+            x - y
+
+
 def test_symplectic_dual_slots():
     basis = get_context(4, 4).basis
     t = tuple(
         lie_from_items(basis, [(basis.weight_range(3)[i], 1)]) for i in range(4)
     )
     for delta in (1, -1):
-        dual = symplectic_dual(t, delta)
+        dual = symplectic_dual(JohnsonValue(3, t), delta)
         assert dual.values[0] == t[1].scale(-delta)
         assert dual.values[1] == t[0].scale(delta)
         assert dual.values[2] == t[3].scale(-delta)
         assert dual.values[3] == t[2].scale(delta)
-        twice = symplectic_dual(dual.values, delta)
+        twice = symplectic_dual(dual, delta)
         assert twice.values == tuple(v.scale(-1) for v in t)
     with pytest.raises(ValueError):
-        symplectic_dual(t, 2)
+        symplectic_dual(JohnsonValue(3, t), 2)
     with pytest.raises(ValueError):
-        symplectic_dual(t[:3], 1)
+        symplectic_dual(JohnsonValue(3, t[:3]), 1)
 
 
 def test_equivariance():
@@ -223,12 +254,12 @@ def test_equivariance():
         for phi_name in ("conj_l", "sep1"):
             phi = cat[phi_name]
             conj = compose(alpha, phi, alpha.inverse())
-            assert johnson(conj, 3) == johnson_act(alpha, johnson(phi, 3), 3)
+            assert johnson(conj, 3) == johnson_act(alpha, johnson(phi, 3))
 
 
 def test_johnson_act_by_torelli_is_trivial():
     jv = johnson(catalog(2)["sep1"], 3)
-    assert johnson_act(catalog(2)["conj_l"], jv, 3) == jv
+    assert johnson_act(catalog(2)["conj_l"], jv) == jv
 
 
 def test_calibration_signs(signs):

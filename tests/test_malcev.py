@@ -45,7 +45,7 @@ def _reduced_letters(r, n, length):
 def test_log_of_commutator_class3():
     ctx = get_context(2, 4)
     lw = ctx.log_word(commutator(generator(1), generator(2)))
-    by_foliage = {ctx.basis.foliages[i]: v for i, v in lw.coeffs.items()}
+    by_foliage = {ctx.basis.foliages[i]: v for i, v in lw.terms.items()}
     assert by_foliage == {
         (1, 2): 1,
         (1, 1, 2): Fraction(1, 2),
@@ -291,7 +291,7 @@ def _stage_inverse_normal_form(ctx, x):
         coords = tc.to_lie({wd: v for wd, v in rem.items() if len(wd) == w})
         stage = {(): 1}
         for i in ctx.basis.weight_range(w):
-            e = coords.coeffs.get(i, 0)
+            e = coords.terms.get(i, 0)
             if e:
                 exps[i] = int(e)
                 stage = tc.mul(stage, tc.exp(tc.from_lie(ctx.basic_log(i).scale(e))))

@@ -8,7 +8,7 @@ import pytest
 
 from torelli.bar import bar_chain
 from torelli.ce import WedgeChain
-from torelli.hall import LieElement, get_basis, lie_from_items
+from torelli.hall import HallBasis, LieElement, get_basis, lie_from_items
 from torelli.sparse import add_into, collect
 from torelli.words import Word
 
@@ -96,10 +96,6 @@ KINDS = {
 }
 
 
-def _stored(x):
-    return x.coeffs if isinstance(x, LieElement) else x.terms
-
-
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_vector_laws(kind):
     build, key = KINDS[kind]
@@ -108,8 +104,33 @@ def test_vector_laws(kind):
         # b shares keys with a and cancels some of them exactly
         b = build([key() for _ in range(3)]) - a.scale(rng.choice([1, -1, 0]))
         for x in (a, b, a + b, a - b, (a + b) - b, a.scale(-2)):
-            assert 0 not in _stored(x).values()
+            assert 0 not in x.terms.values()
         assert (a + b) - b == a
         assert not (a - a)
         assert not a.scale(0)
         assert not (a + a.scale(-1))
+
+
+# the kinds over a Hall basis, each built over a given basis
+OVER_BASIS = {
+    "LieElement": lambda basis: LieElement(basis, {0: 1, 1: 2}),
+    "WedgeChain": lambda basis: WedgeChain(basis, 2, {(0, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVER_BASIS))
+def test_kinds_over_different_bases_do_not_mix(kind):
+    build = OVER_BASIS[kind]
+    x = build(get_basis(3, 3))
+    # another basis object of the same (n, c) is the same algebra
+    assert x == build(HallBasis(3, 3))
+    assert not x - build(HallBasis(3, 3))
+    for n, c in ((3, 2), (2, 3), (4, 3)):
+        y = build(get_basis(n, c))
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="mixed truncation levels"):
+                left + right
+            with pytest.raises(ValueError, match="mixed truncation levels"):
+                left - right
+            with pytest.raises(ValueError, match="mixed truncation levels"):
+                left == right
