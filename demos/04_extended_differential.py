@@ -27,7 +27,7 @@ print("extended differential:", out)
 print()
 
 print("read as an element of H tensor L:")
-for i, v in enumerate(read_h_tensor_l(out, k).values):
+for i, v in enumerate(read_h_tensor_l(out).values):
     print(f"  {generator_name(i + 1)} slot: {v}")
 print()
 

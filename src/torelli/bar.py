@@ -76,15 +76,26 @@ def bar_chain(degree: int, items, ctx: MalcevContext | None = None) -> BarChain:
 
 def bar_boundary(chain: BarChain) -> BarChain:
     """Alternating face sum; inner faces multiply adjacent labels.
-    Faces that produce an identity label are dropped (normalization)."""
+
+    Each distinct pair of adjacent labels is multiplied once per call,
+    and a product equal to a label of the chain or to an earlier product
+    is replaced by that one object, so the face tuples hash and compare
+    by identity.  Faces whose product is the identity are dropped
+    (normalization); the chain itself has no identity labels.  Nothing
+    built here outlives the call but the result.
+    """
     if chain.degree < 1:
         raise ValueError("boundary needs degree >= 1")
     out: dict[tuple, int] = {}
+    get = out.get
+    products: dict[tuple, object] = {}  # (x, y) -> xy
+    shared: dict = {}  # one object per distinct label or product
+    for tup in chain.terms:
+        for x in tup:
+            shared.setdefault(x, x)
 
     def put(tup: tuple, v: int) -> None:
-        if any(x.is_identity() for x in tup):
-            return
-        nv = out.get(tup, 0) + v
+        nv = get(tup, 0) + v
         if nv:
             out[tup] = nv
         elif tup in out:
@@ -95,8 +106,13 @@ def bar_boundary(chain: BarChain) -> BarChain:
         put(tup[1:], coeff)
         sign = -1
         for i in range(n - 1):
-            merged = tup[:i] + (tup[i] * tup[i + 1],) + tup[i + 2 :]
-            put(merged, sign * coeff)
+            pair = tup[i : i + 2]
+            xy = products.get(pair)
+            if xy is None:
+                xy = tup[i] * tup[i + 1]
+                xy = products[pair] = shared.setdefault(xy, xy)
+            if not xy.is_identity():
+                put(tup[:i] + (xy,) + tup[i + 2 :], sign * coeff)
             sign = -sign
         put(tup[:-1], sign * coeff)
     res = BarChain(chain.degree - 1, chain.ctx)
@@ -195,11 +211,15 @@ def push(chain: BarChain, ctx: MalcevContext) -> BarChain:
     entry are dropped.  This is a chain map onto normalized chains.
 
     The labels are built together by `MalcevContext.elements`, which
-    walks each one on from its longest prefix among them.
+    walks each one on from its longest prefix among them.  Words with
+    equal elements share one label object, so the chain's tuples compare
+    by identity.
     """
     if chain.ctx is not None:
         raise ValueError("push starts from word labels")
     elts = ctx.elements(x for tup in chain.terms for x in tup)
+    shared: dict = {}
+    elts = {w: shared.setdefault(x, x) for w, x in elts.items()}
     items = [(tuple(elts[x] for x in tup), coeff) for tup, coeff in chain.terms.items()]
     return bar_chain(chain.degree, items, ctx)
 

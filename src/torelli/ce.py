@@ -323,16 +323,15 @@ def extended_differential(chain: WedgeChain, k: int) -> WedgeChain:
     return reduce_mod_high(ce_boundary(lift_chain(chain, up)), k)
 
 
-def read_h_tensor_l(chain: WedgeChain, k: int) -> JohnsonValue:
-    """Read a reduced degree-2 chain as an element of H tensor L_{k+1}, a
-    `JohnsonValue` of level k: slot i collects the weight-k partners of
-    generator i+1.
+def read_h_tensor_l(chain: WedgeChain) -> JohnsonValue:
+    """Read a reduced degree-2 chain over the class-k algebra as an
+    element of H tensor L_{k+1}, a `JohnsonValue` of level k = its class:
+    slot i collects the weight-k partners of generator i+1.
 
     Every term must be (weight-1) ^ (weight-k); anything else means the
     input did not come from a 3-cycle."""
     basis = chain.basis
-    if basis.c != k:
-        raise ValueError(f"reduced chains live over the class-{k} algebra")
+    k = basis.c
     weights = basis.weights
     n = basis.n
     slots: list[dict[int, Fraction | int]] = [{} for _ in range(n)]

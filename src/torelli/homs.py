@@ -13,7 +13,7 @@ frozen for every later verification.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .bar import (
@@ -54,29 +54,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signs:
+class Signs(namedtuple("Signs", ("epsilon", "delta"))):
     """The two calibrated global signs: epsilon scales the cap with the
-    extension cocycle, delta scales the symplectic duality."""
+    extension cocycle, delta scales the symplectic duality.  Immutable;
+    both must be +1 or -1."""
 
-    epsilon: int
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1) or self.delta not in (1, -1):
+    def __new__(cls, epsilon: int, delta: int):
+        if epsilon not in (1, -1) or delta not in (1, -1):
             raise ValueError("calibration signs must be +1 or -1")
+        return super().__new__(cls, epsilon, delta)
 
 
 class MoritaValue:
     """A chain-level Morita value: a 3-cycle over Gamma_k plus its cap
     against the extension cocycle, a level-k `JohnsonValue`."""
 
-    __slots__ = ("k", "cycle", "d2_invariant")
+    __slots__ = ("cycle", "d2_invariant")
 
-    def __init__(self, k: int, cycle: BarChain, d2_invariant: JohnsonValue):
-        self.k = k
+    def __init__(self, cycle: BarChain, d2_invariant: JohnsonValue):
         self.cycle = cycle
         self.d2_invariant = d2_invariant
+
+    @property
+    def k(self) -> int:
+        """The truncation level, that of the cap invariant."""
+        return self.d2_invariant.k
 
 
 def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
@@ -141,7 +145,7 @@ def morita(phi: MappingClassRep, k: int, epsilon: int, max_terms=None) -> Morita
         raise BudgetExceeded(
             f"cycle has {len(cycle)} terms, over budget_chain_terms = {max_terms}"
         )
-    return MoritaValue(k, cycle, cap_d2(cycle, epsilon))
+    return MoritaValue(cycle, cap_d2(cycle, epsilon))
 
 
 def symplectic_dual(t: JohnsonValue, delta: int) -> JohnsonValue:
@@ -230,7 +234,7 @@ def calibrate_epsilon(g: int = 2, seed: int = 0, trials: int = 20) -> int:
     for elts in cases:
         got = cap_d2(antisym_cycle(*elts), 1)
         wedge = _wedge_of_abelian(ctx, elts)
-        want = read_h_tensor_l(extended_differential(wedge, 2), 2)
+        want = read_h_tensor_l(extended_differential(wedge, 2))
         if not (got - want).is_zero():
             plus_ok = False
         if not (got + want).is_zero():

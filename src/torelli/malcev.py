@@ -16,7 +16,8 @@ Peeling those exponents weight by weight gives the NormalForm; extending
 the exponent vector by zeros in weight k gives the canonical section
 Gamma_k -> Gamma_{k+1}, whose failure to be a homomorphism is the
 extension cocycle c(g,h) = s(g) s(h) s(gh)^-1 with values in the
-weight-k lattice L_{k+1}.
+weight-k lattice L_{k+1}.  A context keeps one shared section element
+per normal form and one cocycle value per pair of normal forms.
 
 A context interns one element per free-group word, so the log and
 normal form of a word are computed once, however often it occurs.  A
@@ -129,6 +130,7 @@ class MalcevContext:
         self.tc = TensorContext(self.basis)
         self._elements: dict[Word, NilElement] = {Word.make(()): self.identity()}
         self._cocycle: dict[tuple, LieElement] = {}
+        self._sections: dict[tuple, NilElement] = {}
         self._powers: dict[tuple, dict] = {}
         n, c = self.n, self.c
         # letter s appended to a word of length r < c: [(r + m, n^m, code of
@@ -360,8 +362,15 @@ class MalcevContext:
 
     def section(self, x: NilElement) -> NilElement:
         """Zero-extension of the normal form: the canonical set-theoretic
-        section Gamma_k -> Gamma_{k+1} of the central extension."""
-        return self.up().from_normal_form(self.normal_form(x))
+        section Gamma_k -> Gamma_{k+1} of the central extension.
+
+        The context keeps one level-(k+1) element per normal form, so
+        elements with equal normal forms share one section, built once."""
+        nf = self.normal_form(x)
+        s = self._sections.get(nf)
+        if s is None:
+            s = self._sections[nf] = self.up().from_normal_form(nf)
+        return s
 
     def cocycle(self, g: NilElement, h: NilElement) -> LieElement:
         """c(g,h) = s(g) s(h) s(gh)^-1, a weight-k integral Lie element

@@ -85,6 +85,72 @@ def test_boundary_squared_is_zero():
         assert not bar_boundary(bar_boundary(z))
 
 
+def naive_boundary(chain):
+    """The face sum one face at a time: every inner face multiplies its
+    pair anew, and any face with an identity label is dropped."""
+    items = []
+    for tup, coeff in chain.terms.items():
+        n = len(tup)
+        items.append((tup[1:], coeff))
+        for i in range(n - 1):
+            items.append((tup[:i] + (tup[i] * tup[i + 1],) + tup[i + 2 :], (-1) ** (i + 1) * coeff))
+        items.append((tup[:-1], (-1) ** n * coeff))
+    return bar_chain(chain.degree - 1, items, chain.ctx)
+
+
+def test_boundary_matches_naive_face_sum():
+    cancelling = []
+    for _ in range(6):
+        x, y = random_word(), random_word()
+        cancelling.append((((x, ~x, y), 2), ((y, x, ~x), -1), ((x, y, ~y * ~x), 1)))
+    word_chains = [random_bar_chain(d, 6) for d in (1, 2, 3) for _ in range(4)]
+    word_chains += [bar_chain(3, items) for items in cancelling]
+    word_chains += [fundamental_two_chain(2), staircase(boundary_word(2))]
+    chains = list(word_chains)
+    for k in (2, 3):
+        ctx = get_context(4, k)
+        chains += [push(z, ctx) for z in word_chains]
+    for phi in (catalog(2)["sep1"], catalog(2)["conj_l"]):
+        C = fundamental_two_chain(2)
+        D = bound_two_cycle(act_on_chain(phi, C) - C)
+        chains += [D, push(D, get_context(4, 3)), push(D, get_context(4, 2))]
+    label, phi, k = bounding_pair_instances()[1]
+    C = fundamental_two_chain(2)
+    chains.append(push(bound_two_cycle(act_on_chain(phi, C) - C), get_context(4, k)))
+    # some inner faces multiply a label by its inverse
+    assert any(
+        (tup[i] * tup[i + 1]).is_identity()
+        for z in chains
+        for tup in z.terms
+        for i in range(len(tup) - 1)
+    )
+    for z in chains:
+        got = bar_boundary(z)
+        assert got == naive_boundary(z)
+        assert got.ctx is z.ctx and got.degree == z.degree - 1
+        assert not any(x.is_identity() for tup in got.terms for x in tup)
+        # equal labels, products included, are one object
+        labels = [x for tup in got.terms for x in tup]
+        assert len({id(x) for x in labels}) == len(set(labels))
+
+
+def test_boundary_labels_are_shared_objects():
+    # x and x c3 are distinct words with one element in Gamma_3 (c3 is a
+    # weight-3 commutator), and the label u = xy is also the product of
+    # the adjacent labels x, y: each value must appear as one object
+    four = get_context(4, 4)
+    c3 = four.basic_word(next(iter(four.basis.weight_range(3))))
+    x, y, z = word("a1 b2"), word("b1"), word("a2 a2")
+    u = x * y
+    ctx = get_context(4, 3)
+    assert ctx.element(x * c3) == ctx.element(x)
+    chain = push(bar_chain(3, [((x, y, z), 1), ((y, x * c3, z), 1), ((z, u, y), 1)]), ctx)
+    got = bar_boundary(chain)
+    assert got == naive_boundary(chain)
+    labels = [x for tup in got.terms for x in tup]
+    assert len({id(x) for x in labels}) == len(set(labels))
+
+
 def test_staircase_boundary_telescopes():
     for text in ("a1 b1^-1 a1", "a2 a2 b2", "a1 b1 a1^-1 b1^-1"):
         w = word(text)

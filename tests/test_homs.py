@@ -114,7 +114,9 @@ def test_johnson_kernel_law():
 
 def test_morita_cycle_properties(signs):
     mv = morita(catalog(2)["sep1"], 3, signs.epsilon)
-    assert mv.k == 3
+    assert mv.k == 3 == mv.d2_invariant.k
+    with pytest.raises(AttributeError):
+        mv.k = 4
     assert len(mv.cycle) == 28
     assert not bar_boundary(mv.cycle)
     assert not mv.d2_invariant.is_zero()
@@ -205,7 +207,7 @@ def test_every_h_tensor_l_producer_returns_a_johnson_value(signs):
     wedge = WedgeChain(below, 3, {(0, 1, 2): 1, (1, 2, 3): -2})
     produced = {
         "cap_d2": (3, cap_d2(cycle, signs.epsilon)),
-        "read_h_tensor_l": (2, read_h_tensor_l(extended_differential(wedge, 2), 2)),
+        "read_h_tensor_l": (2, read_h_tensor_l(extended_differential(wedge, 2))),
         "symplectic_dual": (3, symplectic_dual(cap_d2(cycle, 1), signs.delta)),
         "johnson k=3": (3, johnson(catalog(2)["sep1"], 3)),
         "johnson k=2": (2, johnson(catalog(2)["P"], 2)),
@@ -269,6 +271,21 @@ def test_calibration_signs(signs):
     assert calibrate_delta(signs.epsilon, 2) == signs.delta
     with pytest.raises(ValueError):
         Signs(2, 1)
+
+
+def test_signs_value_semantics():
+    s = Signs(1, -1)
+    assert (s.epsilon, s.delta) == (1, -1)
+    assert s == Signs(epsilon=1, delta=-1) and s != Signs(-1, -1)
+    assert hash(s) == hash(Signs(1, -1))
+    assert repr(s) == "Signs(epsilon=1, delta=-1)"
+    with pytest.raises(AttributeError):
+        s.epsilon = -1
+    with pytest.raises(AttributeError):
+        s.other = 0
+    for bad in ((2, 1), (1, 0), (-1, -2)):
+        with pytest.raises(ValueError, match=r"calibration signs must be \+1 or -1"):
+            Signs(*bad)
 
 
 def test_jsonable_round():

@@ -345,6 +345,32 @@ def test_project_section_round_trip():
         assert ctx.project(ctx.up().element(w)) == x
 
 
+def test_one_section_per_normal_form():
+    # elements with equal normal forms, built as distinct objects: a word,
+    # a product of its halves, and the word times a weight-3 commutator,
+    # which is trivial in Gamma_3
+    ctx = MalcevContext(4, 3)
+    up = ctx.up()
+    four = get_context(4, 4)
+    c3 = four.basic_word(next(iter(four.basis.weight_range(3))))
+    for _ in range(15):
+        w = random_word(4)
+        half = len(w.letters) // 2
+        x = ctx.element(w)
+        routes = [
+            ctx.element(Word.make(w.letters[:half])) * ctx.element(Word.make(w.letters[half:])),
+            ctx.element(w * c3),
+            ctx.element(c3 * w),
+        ]
+        s = ctx.section(x)
+        assert s == up.from_normal_form(ctx.normal_form(x))
+        for y in routes:
+            assert y is not x and ctx.normal_form(y) == ctx.normal_form(x)
+            assert ctx.section(y) is s
+        z = ctx.element(w * generator(1))
+        assert ctx.section(z) is not s and ctx.section(z) != s
+
+
 def test_hash_agrees_across_construction_routes():
     # the routes store equal coefficients as int or Fraction; equal
     # elements must still hash alike and share a dict key

@@ -157,8 +157,8 @@ def _old_inverse(tc, p):
 
 @pytest.mark.parametrize("n,c", [(2, 1), (2, 3), (3, 4), (2, 5)])
 def test_series_match_separate_loops(n, c):
-    # exp, log and inverse share one series loop; these are the three
-    # loops it replaced, kept as oracles
+    # exp and log share one series loop, inverse is one pass by length;
+    # these are the power-series loops they replaced, kept as oracles
     basis = get_basis(n, c)
     tc = TensorContext(basis)
     for _ in range(10):
@@ -230,3 +230,27 @@ def test_integer_mul_matches_fraction_oracle(n, c):
         assert all(got.values()), "zero entry kept"
     assert tc.mul(g, tc.inverse(g)) == {(): 1}
     assert tc.mul(top, {(2,): 3}) == {}
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (4, 4), (6, 3)])
+def test_one_pass_inverse_matches_power_series(n, c):
+    # units 1 + u that are not group-like, with entries of every length and
+    # denominators up to c!, so that the D^|b| scaling of each length of u
+    # and every shorter layer of the inverse enter the result
+    tc = TensorContext(get_basis(n, c))
+    units = []
+    for fractions in (False, True, True, True):
+        for _ in range(4):
+            t = _random_tensor(n, c, 16, fractions)
+            t[()] = 1
+            t[(n,) * c] = Fraction(1, factorial(c))
+            units.append(t)
+    units.append({(): 1, (1,): Fraction(1, 2), (1, 2): Fraction(-2, 3), (2,) * c: 7})
+    units.append({(): 1})
+    for t in units:
+        inv = tc.inverse(t)
+        assert inv == _old_inverse(tc, t), t
+        assert all(inv.values()), "zero entry kept"
+        assert tc.mul(t, inv) == {(): 1} == tc.mul(inv, t)
+    with pytest.raises(ValueError):
+        tc.inverse({(): 2, (1,): 1})
