@@ -250,6 +250,12 @@ def cap_d2(z: BarChain, epsilon: int) -> JohnsonValue:
     summed over terms.  Returns the level-k `JohnsonValue` holding one
     weight-k Lie element per generator slot.  Boundaries map to zero, so
     this is well defined on homology.
+
+    The cap is linear in g1, so the terms are first grouped by (g2, g3)
+    into the net H-weight sum coeff * (exponent vector of g1), and the
+    cocycle is evaluated once per pair, only for pairs whose net weight
+    is nonzero.  Its weight-k and lattice checks run on every pair that
+    enters the cap; the integrality check of the sum stays.
     """
     if z.degree != 3 or z.ctx is None:
         raise ValueError("cap needs a degree-3 chain over a truncated group")
@@ -258,13 +264,18 @@ def cap_d2(z: BarChain, epsilon: int) -> JohnsonValue:
     if bar_boundary(z):
         raise ValueError("input chain is not a cycle")
     ctx = z.ctx
-    slots: list[dict] = [{} for _ in range(ctx.n)]
+    weights: dict[tuple, dict] = {}  # (g2, g3) -> net sum of coeff * ab(g1)
     for (g1, g2, g3), coeff in z.terms.items():
+        add_into(weights.setdefault((g2, g3), {}), g1.abelianization(), coeff)
+    slots: list[dict] = [{} for _ in range(ctx.n)]
+    for (g2, g3), acc in weights.items():
+        if not acc:
+            continue
         coc = ctx.cocycle(g2, g3)
         if not coc.terms:
             continue
-        for i, a in g1.abelianization().items():
-            add_into(slots[i], coc.terms, epsilon * coeff * a)
+        for i, a in acc.items():
+            add_into(slots[i], coc.terms, epsilon * a)
     up = get_basis(ctx.n, ctx.k)
     out = tuple(LieElement(up, s) for s in slots)
     for i, s in enumerate(out):

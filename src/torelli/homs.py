@@ -88,13 +88,20 @@ def johnson(phi: MappingClassRep, k: int) -> JohnsonValue:
     part of log(phi(x) x^-1) computed one level up, at Gamma_{k+1}.
 
     Requires phi to act trivially on Gamma_k; the offending generator is
-    named otherwise.  Values are integral.
+    named otherwise, the first one in generator order.  Values are
+    integral.  The 2g words phi(x) x^-1 are built in one
+    `MalcevContext.elements` call, so the long prefixes they share (the
+    images are conjugated by the same words) are walked once.
     """
     ctx = get_context(2 * phi.g, k + 1)
-    values = []
+    moved = []
     for i in range(2 * phi.g):
         x = word([i + 1])
-        lw = ctx.log_word(apply_endo(phi, x) * ~x)
+        moved.append(apply_endo(phi, x) * ~x)
+    ctx.elements(moved)
+    values = []
+    for i, w in enumerate(moved):
+        lw = ctx.log_word(w)
         if lw and lw.min_weight() < k:
             raise ValueError(
                 f"mapping class is not in the level-{k} Torelli group: "

@@ -27,13 +27,16 @@ arithmetic is done until the word's element is made.  During the walk
 the tensor is one dict per word length, keyed by integer codes of the
 words, and each letter updates the lengths in descending order, so it
 needs no snapshot of the entries it reads (see `MalcevContext._walk`).
-No prefix is kept past the call that builds it: a batch of words is
-built in one sorted scan that holds, locally, only the scaled tensors of
-the words on its current path.
+A batch of words is walked as the trie of their prefixes, so a prefix
+that several words share is walked once (see `MalcevContext.elements`).
+No prefix is kept past the call that builds it: the walk holds, locally,
+only snapshots of the scaled tensors at the branch depths of its current
+path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial
 
@@ -233,13 +236,19 @@ class MalcevContext:
 
     def elements(self, words) -> dict[Word, NilElement]:
         """The interned elements of many words, the new ones built in one
-        sorted prefix scan.
+        walk over the trie of their prefixes.
 
-        Sorted by letters, the new words that are prefixes of a new word
-        w come before it and stay on a stack of the current path, so w
-        continues the walk of its longest prefix among them instead of
-        starting from its first letter.  The stack is local: only the
-        elements of the words outlive the call.
+        Sorted by letters, each new word w_j shares its first
+        lcp_j = LCP(w_{j-1}, w_j) letters with the word before it, and the
+        walk continues w_j from a snapshot of the scaled layers at depth
+        lcp_j, so it walks sum_j (|w_j| - lcp_j) letters: every letter of
+        every distinct prefix once, the edges of the trie.  A later word
+        w_l leaves w_j's path at depth min(lcp_{j+1}, ..., lcp_l), so the
+        walk of w_j takes a snapshot at each depth of that chain of
+        next-smaller LCPs past lcp_j (one scan from the right finds them
+        all).  Snapshots stay on a stack of the current path; neither
+        they nor the branch prefixes are interned, and only the elements
+        of the words outlive the call.
         """
         out: dict[Word, NilElement] = {}
         new = []
@@ -250,14 +259,33 @@ class MalcevContext:
             else:
                 out[w] = x
         new.sort(key=lambda w: w.letters)
-        path: list[tuple] = []  # (letters, scaled layers) along the path
-        for w in new:
-            letters = w.letters
-            while path and letters[: len(path[-1][0])] != path[-1][0]:
+        seqs = [w.letters for w in new]
+        lcps = [0] * len(seqs)
+        for j in range(1, len(seqs)):
+            a, b = seqs[j - 1], seqs[j]
+            d, m = 0, min(len(a), len(b))
+            while d < m and a[d] == b[d]:
+                d += 1
+            lcps[j] = d
+        # cuts[j]: depths past lcp_j at which later words leave w_j's path,
+        # read off a stack of the next-smaller LCPs, increasing upwards
+        cuts: list = [None] * len(seqs)
+        chain: list[int] = []
+        for j in range(len(seqs) - 1, -1, -1):
+            cuts[j] = chain[bisect_right(chain, lcps[j]):]
+            while chain and chain[-1] >= lcps[j]:
+                chain.pop()
+            chain.append(lcps[j])
+        path = [(0, self._one())]  # (depth, scaled layers) snapshots on the path
+        for w, letters, done, depths in zip(new, seqs, lcps, cuts):
+            while path[-1][0] > done:
                 path.pop()
-            done, layers = path[-1] if path else ((), self._one())
-            layers = self._walk([dict(layer) for layer in layers], letters[len(done):])
-            path.append((letters, layers))
+            layers = [dict(layer) for layer in path[-1][1]]
+            for d in depths:
+                self._walk(layers, letters[done:d])
+                path.append((d, layers if d == len(letters) else [dict(l) for l in layers]))
+                done = d
+            self._walk(layers, letters[done:])
             out[w] = self._finish(w, layers)
         return out
 

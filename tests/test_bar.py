@@ -13,6 +13,7 @@ from torelli.words import (
     catalog,
     compose,
 )
+from torelli.hall import JohnsonValue, LieElement, get_basis
 from torelli.malcev import MalcevContext, get_context
 from torelli.sparse import add_into, collect
 from torelli.bar import (
@@ -497,6 +498,57 @@ def test_cap_pipeline_values():
     for s in slots:
         assert s == s.weight_part(3)
         assert s.is_integral()
+
+
+def _cap_per_term(z, epsilon):
+    """The ungrouped cap: one cocycle per term, weighted by its own g1."""
+    ctx = z.ctx
+    slots = [{} for _ in range(ctx.n)]
+    for (g1, g2, g3), coeff in z.terms.items():
+        coc = ctx.cocycle(g2, g3)
+        for i, a in g1.abelianization().items():
+            add_into(slots[i], coc.terms, epsilon * coeff * a)
+    up = get_basis(ctx.n, ctx.k)
+    return JohnsonValue(ctx.k, tuple(LieElement(up, s) for s in slots))
+
+
+def test_cap_evaluates_one_cocycle_per_weighted_pair(monkeypatch):
+    cat = catalog(2)
+    sep1, z = cat["sep1"], cat["z"]
+    C = fundamental_two_chain(2)
+    ctx = MalcevContext(4, 3)
+    shapes = {"cancelling": 0, "zero-weight first": 0}
+    for phi in (cat["conj_l"], sep1, compose(z, sep1, z.inverse())):
+        pushed = push(bound_two_cycle(act_on_chain(phi, C) - C), ctx)
+        by_pair: dict = {}
+        for tup, coeff in pushed.terms.items():
+            by_pair.setdefault(tup[1:], []).append((tup, coeff))
+        # the same cycle with each pair's zero-weight g1 terms first
+        reordered = BarChain(3, ctx, {
+            tup: coeff
+            for terms in by_pair.values()
+            for tup, coeff in sorted(terms, key=lambda t: bool(t[0][0].abelianization()))
+        })
+        assert reordered == pushed and list(reordered.terms) != list(pushed.terms)
+        net = {
+            pair: collect((i, c * a) for (g1, _, _), c in terms
+                          for i, a in g1.abelianization().items())
+            for pair, terms in by_pair.items()
+        }
+        for pair, terms in by_pair.items():
+            weighted = sum(bool(t[0].abelianization()) for t, _ in terms)
+            shapes["cancelling"] += not net[pair] and weighted > 0
+            shapes["zero-weight first"] += bool(
+                net[pair] and weighted < len(terms) and ctx.cocycle(*pair))
+        for chain in (pushed, reordered):
+            want = _cap_per_term(chain, -1)
+            calls = []
+            cocycle = ctx.cocycle
+            monkeypatch.setattr(ctx, "cocycle", lambda g, h: calls.append((g, h)) or cocycle(g, h))
+            assert cap_d2(chain, -1) == want
+            monkeypatch.undo()
+            assert len(calls) == len(set(calls)) == sum(map(bool, net.values()))
+    assert all(shapes.values()), shapes
 
 
 def test_serialization_is_deterministic():

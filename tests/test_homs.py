@@ -6,14 +6,20 @@ import pytest
 
 from torelli.words import (
     Word,
+    apply_endo,
     catalog,
     compose,
+    generator_name,
     parse_automorphism,
+    word,
 )
 from torelli.ce import BudgetExceeded
 from torelli.hall import lie_generator, lie_from_items
-from torelli.malcev import get_context
+import torelli.malcev as malcev
+from torelli.malcev import MalcevContext, get_context
 from torelli.bar import bar_boundary, bar_chain, push
+from test_acceptance import bounding_pair_instances
+from test_malcev import _counting_walk
 from torelli.homs import (
     JohnsonValue,
     Signs,
@@ -77,6 +83,57 @@ def test_johnson_vanishes_one_level_down():
 def test_johnson_rejects_non_torelli():
     with pytest.raises(ValueError, match="a1|b1|a2|b2"):
         johnson(catalog(2)["t1"], 2)
+
+
+def _johnson_per_word(phi, k):
+    """The Johnson value one generator at a time, each word walked alone
+    on a fresh context, with the checks and error text of `johnson`."""
+    values = []
+    for i in range(2 * phi.g):
+        x = word([i + 1])
+        lw = MalcevContext(2 * phi.g, k + 1).log_word(apply_endo(phi, x) * ~x)
+        if lw and lw.min_weight() < k:
+            raise ValueError(
+                f"mapping class is not in the level-{k} Torelli group: "
+                f"log(phi(x) x^-1) has weight-{lw.min_weight()} terms "
+                f"at generator {generator_name(i + 1)}"
+            )
+        values.append(lw.weight_part(k))
+    return JohnsonValue(k, tuple(values))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_johnson_batch_matches_per_word_walks(monkeypatch):
+    cat, cat3 = catalog(2), catalog(3)
+    cases = [(phi, k) for phi in torelli_pool() for k in (2, 3, 4)]
+    cases += [(phi, k) for _, phi, k in bounding_pair_instances()]
+    cases += [(cat[name], 2) for name in ("t1", "t2", "u1", "u2", "z")]
+    cases += [(cat3["P"], 2), (cat3["P"], 3), (cat3["t2"], 2), (cat3["u2"], 2)]
+    messages = set()
+    for phi, k in cases:
+        monkeypatch.setattr(malcev, "_contexts", {})
+        want = _outcome(_johnson_per_word, phi, k)
+        assert _outcome(johnson, phi, k) == want, (phi.name, k)
+        if isinstance(want, str):
+            messages.add(want.rsplit(" ", 1)[1])
+    # the first offending generator is named, whichever it is
+    assert len(messages) >= 2, messages
+
+
+def test_johnson_walks_each_shared_prefix_once(monkeypatch):
+    phi = catalog(2)["conj_l"]
+    words = [apply_endo(phi, x) * ~x for x in map(word, ([1], [2], [3], [4]))]
+    monkeypatch.setattr(malcev, "_contexts", {})
+    walked = _counting_walk(get_context(4, 4))
+    johnson(phi, 3)
+    edges = {w.letters[:d] for w in words for d in range(1, len(w) + 1)}
+    assert walked[0] == len(edges) < sum(len(w) for w in words)
 
 
 def test_johnson_additive():

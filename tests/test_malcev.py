@@ -266,6 +266,72 @@ def test_scan_matches_word_group_genus3():
         assert scanned[w].tensor == _fraction_walk(ctx, w), w
 
 
+def _trie_batch(r, n, size):
+    """Random words grown off each other's prefixes, and some repeats.
+
+    Each new word cuts an earlier word at a random depth and continues it,
+    possibly by nothing, so the batch holds nested prefixes, branches off
+    prefixes that are no word of the batch, and words at which others
+    branch.
+    """
+    words = [Word.make(_reduced_letters(r, n, 40))]
+    while len(words) < size:
+        base = r.choice(words).letters
+        tail = _reduced_letters(r, n, r.choice((0, 3, 25)))
+        words.append(Word.make(base[: r.randint(0, len(base))] + tuple(tail)))
+    words = [w for w in words if w.letters]
+    return words + r.sample(words, 4)
+
+
+def _trie_shape(words):
+    """Which of the walk's cases the batch exercises."""
+    distinct = set(words)
+    seqs = {w.letters for w in distinct}
+    branches: dict[tuple, set] = {}  # prefix -> the letters that follow it
+    for s in seqs:
+        for d in range(len(s)):
+            branches.setdefault(s[:d], set()).add(s[d])
+    forks = {p for p, nxt in branches.items() if len(nxt) > 1}
+    return {
+        "duplicates": len(words) > len(distinct),
+        "nested prefixes": any(s in branches for s in seqs),
+        "shared non-word prefixes": any(p and p not in seqs for p in forks),
+        "words ending at a branch depth": bool(forks & seqs),
+    }
+
+
+def _counting_walk(ctx):
+    """Make ctx count the letters it walks; returns the one-entry counter."""
+    walked = [0]
+    walk = ctx._walk
+
+    def counted(layers, letters):
+        walked[0] += len(letters)
+        return walk(layers, letters)
+
+    ctx._walk = counted
+    return walked
+
+
+@pytest.mark.parametrize("n,k,seed", [(4, 5, 5772), (4, 5, 6931), (6, 4, 1618), (6, 4, 3010)])
+def test_elements_walk_every_distinct_prefix_once(n, k, seed):
+    words = _trie_batch(random.Random(seed), n, 40)
+    assert all(_trie_shape(words).values()), _trie_shape(words)
+    ctx = MalcevContext(n, k)
+    walked = _counting_walk(ctx)
+    got = ctx.elements(words)
+    oracle = MalcevContext(n, k)
+    assert set(got) == set(words)
+    for w in words:
+        assert got[w].tensor == oracle.word_group(w).tensor, w
+        assert ctx.element(w) is got[w]
+    # one letter per trie edge, that is per distinct nonempty prefix
+    edges = {w.letters[:d] for w in set(words) for d in range(1, len(w) + 1)}
+    assert walked[0] == len(edges)
+    assert len(ctx._elements) == len(set(words)) + 1  # no prefix is interned
+    assert ctx.elements(words) == got and walked[0] == len(edges)
+
+
 def _forbidden(*args):
     raise AssertionError("recomputed a cached value")
 
