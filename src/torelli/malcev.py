@@ -93,6 +93,10 @@ class NilElement:
         return NilElement(self.ctx, self.ctx.tc.mul(self.tensor, other.tensor))
 
     def inverse(self) -> "NilElement":
+        """The inverse, by the antipode of the tensor algebra.  That needs
+        a group-like tensor, which every element is: each comes from a
+        word walk, exp, a product, `project` or a normal-form product.
+        Nothing checks it, since a check would cost a product."""
         return NilElement(self.ctx, self.ctx.tc.inverse(self.tensor))
 
     def __pow__(self, e: int) -> "NilElement":

@@ -6,9 +6,10 @@ weight c.  Group elements live here as truncated exponentials (constant
 term 1), Lie elements as primitives (no constant term, weight-graded).
 Products are computed in integers: each operand is scaled by the lcm of
 its entries' denominators, which is exact because the product is
-bilinear, and each output entry is divided once at the end.  The
-inverse of a unit 1 + u is built in one pass by word length from
-v = 1 - v u, in integers scaled by powers of the lcm of u's denominators.
+bilinear, and each output entry is divided once at the end.  Group
+elements are inverted by the antipode (reverse each word, sign
+(-1)^length), which is the inverse only of a group-like tensor; every
+group element built in this package is one, and nothing re-checks it.
 
 Two independent routes express a primitive tensor in the Hall basis: a
 triangular read-off against the tensor images of the Hall elements (the
@@ -115,47 +116,17 @@ class TensorContext:
         return self._series({}, u, lambda m: Fraction(1 if m % 2 else -1, m))
 
     def inverse(self, p: Tensor) -> Tensor:
-        """Multiplicative inverse of any element p = 1 + u with constant
-        term 1, in one pass by word length, computed in integers.
-
-        The inverse v satisfies v = 1 - v u, so its entry at a word w of
-        length L is -sum_b v_a u_b over the splittings w = ab with b
-        nonempty: the length-L part of v needs only shorter parts of v.
-        With D the lcm of the denominators of u's entries, V_a = D^|a| v_a
-        is an integer, since V_w = -sum_b V_a D^(|b|-1) (D u_b) and each
-        factor is; every entry is divided by D^L once at the end.
-        """
+        """Inverse of a group-like p by the antipode: each word reversed,
+        its coefficient times (-1)^length.  For p = exp(x), x primitive,
+        S(p) = exp(-x) (Quillen, Ann. Math. 90, 1969, App. A; Reutenauer,
+        Free Lie Algebras, 1993); on other units it is no inverse.  Only
+        the constant term is checked: checking group-likeness would cost
+        a product, as much as the inversion, and every group element built
+        here (word walks, exp, products, projections, normal-form
+        products) is group-like."""
         if p.get((), 0) != 1:
             raise ValueError("inverse needs constant term 1")
-        c = self.c
-        d = _denominator(p)
-        # parts[r]: the entries of u at words of length r, scaled by D^r
-        parts: list[list] = [[] for _ in range(c + 1)]
-        for w, v in p.items():
-            r = len(w)
-            if 0 < r <= c:
-                parts[r].append((w, v.numerator * (d // v.denominator) * d ** (r - 1)))
-        # layers[L]: the scaled entries V of the inverse at words of length L
-        layers: list[dict] = [{(): 1}]
-        for length in range(1, c + 1):
-            acc: Tensor = {}
-            get = acc.get
-            for r in range(1, length + 1):
-                ub = parts[r]
-                if not ub:
-                    continue
-                for a, va in layers[length - r].items():
-                    for b, vb in ub:
-                        w = a + b
-                        acc[w] = get(w, 0) - va * vb
-            layers.append({w: v for w, v in acc.items() if v})
-        out: Tensor = {}
-        for length, layer in enumerate(layers):
-            scale = d**length
-            for w, v in layer.items():
-                q, rem = divmod(v, scale)
-                out[w] = Fraction(v, scale) if rem else q
-        return out
+        return {w[::-1]: -v if len(w) % 2 else v for w, v in p.items()}
 
     # -- Hall basis <-> tensors --------------------------------------------
 

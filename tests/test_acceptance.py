@@ -10,7 +10,7 @@ import time
 from math import comb
 
 from torelli.words import Word, catalog, compose
-from torelli.hall import get_basis, lie_generator
+from torelli.hall import JohnsonValue, get_basis, lie_generator
 from torelli.malcev import get_context, induced_lie_auto, is_in_torelli
 from torelli.ce import (
     WedgeChain,
@@ -367,3 +367,45 @@ def test_nonzero_chain_comparisons_k2_to_k4(signs):
             f"{nonzero} nonzero coefficients, {rep['cycle_terms']} cycle terms "
             f"({elapsed:.2f}s)"
         )
+
+
+def symplectic_residual(jv):
+    """sum_i ([a_i, t(b_i)] + [t(a_i), b_i]) in L_{k+1}, one level up.
+
+    phi fixes ell = prod [a_i, b_i], so a Johnson value t is a symplectic
+    derivation and this vanishes (Morita's h_{g,1}(k))."""
+    n = len(jv.values)
+    up = get_basis(n, jv.k + 1)
+    t = [v.lift_to(up) for v in jv.values]
+    out = lie_generator(up, 1).scale(0)
+    for i in range(0, n, 2):
+        out = out + lie_generator(up, i + 1).bracket(t[i + 1])
+        out = out + t[i].bracket(lie_generator(up, i + 2))
+    return out
+
+
+def test_johnson_values_are_symplectic_derivations():
+    t0 = time.monotonic()
+    cat = catalog(2)
+    sep1, z = cat["sep1"], cat["z"]
+    w = compose(z, sep1, z.inverse())
+    instances = bounding_pair_instances() + [
+        ("sep1", sep1, 3),
+        ("conj_l", cat["conj_l"], 3),
+        ("[sep1, z sep1 z^-1]", compose(sep1, w, sep1.inverse(), w.inverse()), 5),
+    ]
+    for label, phi, k in instances:
+        jv = johnson(phi, k)
+        assert not symplectic_residual(jv), label
+        # the check has teeth: flipping the sign of any one nonzero slot
+        # breaks it
+        for i, v in enumerate(jv.values):
+            if v:
+                flipped = jv.values[:i] + (v.scale(-1),) + jv.values[i + 1:]
+                assert symplectic_residual(JohnsonValue(k, flipped)), (label, i)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 4
+    report(
+        "[PASS] Johnson values at k=2..5 are symplectic derivations, and a "
+        f"one-slot sign flip is not ({elapsed:.2f}s)"
+    )

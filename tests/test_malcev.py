@@ -93,6 +93,17 @@ def test_group_axioms():
     assert x ** 0 == e
 
 
+def test_inverse_word_walks_to_the_antipode():
+    # ~w is walked letter by letter, a route independent of the antipode
+    r = random.Random(57721566)
+    for n, k in ((2, 7), (4, 5), (6, 4)):
+        ctx = get_context(n, k)
+        for length in range(1, 11):
+            w = Word.make(_reduced_letters(r, n, length))
+            assert len(w.letters) == length
+            assert ctx.element(~w).tensor == ctx.tc.inverse(ctx.element(w).tensor)
+
+
 def test_normal_form_round_trip():
     ctx = get_context(4, 3)
     for _ in range(20):

@@ -7,8 +7,10 @@ from math import factorial
 import pytest
 
 from torelli.hall import LieElement, get_basis
+from torelli.malcev import get_context
 from torelli.sparse import add_into
 from torelli.tensor import TensorContext
+from torelli.words import Word
 
 rng = random.Random(60221023)
 
@@ -157,7 +159,7 @@ def _old_inverse(tc, p):
 
 @pytest.mark.parametrize("n,c", [(2, 1), (2, 3), (3, 4), (2, 5)])
 def test_series_match_separate_loops(n, c):
-    # exp and log share one series loop, inverse is one pass by length;
+    # exp and log share one series loop, and inverse is the antipode;
     # these are the power-series loops they replaced, kept as oracles
     basis = get_basis(n, c)
     tc = TensorContext(basis)
@@ -171,7 +173,6 @@ def test_series_match_separate_loops(n, c):
         p = dict(g)
         p[(1,) * c] = p.get((1,) * c, 0) + 3
         assert tc.log(p) == _old_log(tc, p)
-        assert tc.inverse(p) == _old_inverse(tc, p)
         top = {(2,) * c: Fraction(5, 2)}
         assert tc.exp(top) == _old_exp(tc, top)
 
@@ -232,22 +233,30 @@ def test_integer_mul_matches_fraction_oracle(n, c):
     assert tc.mul(top, {(2,): 3}) == {}
 
 
+def _random_word(n, length):
+    return Word.make([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length)])
+
+
 @pytest.mark.parametrize("n,c", [(2, 6), (4, 4), (6, 3)])
-def test_one_pass_inverse_matches_power_series(n, c):
-    # units 1 + u that are not group-like, with entries of every length and
-    # denominators up to c!, so that the D^|b| scaling of each length of u
-    # and every shorter layer of the inverse enter the result
-    tc = TensorContext(get_basis(n, c))
-    units = []
-    for fractions in (False, True, True, True):
-        for _ in range(4):
-            t = _random_tensor(n, c, 16, fractions)
-            t[()] = 1
-            t[(n,) * c] = Fraction(1, factorial(c))
-            units.append(t)
-    units.append({(): 1, (1,): Fraction(1, 2), (1, 2): Fraction(-2, 3), (2,) * c: 7})
-    units.append({(): 1})
-    for t in units:
+def test_antipode_inverse_matches_power_series(n, c):
+    # group-like tensors of every origin the package has: word walks, exp of
+    # rational Lie elements, products, sections one level up (Fraction
+    # entries) and normal-form products
+    ctx = get_context(n, c + 1)
+    tc = ctx.tc
+    low = get_context(n, c)
+    walks = [ctx.element(_random_word(n, rng.randint(1, 9))).tensor for _ in range(6)]
+    exps = [tc.exp(tc.from_lie(lie_rand(tc.basis))) for _ in range(6)]
+    products = [tc.mul(a, b) for a, b in zip(walks, exps)]
+    sections = [low.section(low.element(_random_word(n, rng.randint(2, 9)))).tensor
+                for _ in range(6)]
+    normal_forms = [
+        ctx.from_normal_form([rng.randint(-2, 2) for _ in range(tc.basis.dim)]).tensor
+        for _ in range(4)
+    ]
+    assert any(isinstance(v, Fraction) and v.denominator != 1
+               for t in sections for v in t.values())
+    for t in walks + exps + products + sections + normal_forms + [{(): 1}]:
         inv = tc.inverse(t)
         assert inv == _old_inverse(tc, t), t
         assert all(inv.values()), "zero entry kept"
