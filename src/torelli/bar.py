@@ -157,19 +157,15 @@ def fox_derivatives(w: Word) -> dict[int, dict[Word, int]]:
     out: dict[int, dict[Word, int]] = {}
     prefix = _EMPTY
     for s in w.letters:
-        x = abs(s)
-        lw = word([s])
-        d = out.setdefault(x, {})
+        nxt = prefix * word([s])
+        # w is reduced, so no (generator, key) pair repeats and nothing
+        # cancels: a repeat needs the adjacent letters x_i^-1 x_i
         if s > 0:
-            key = prefix
-            d[key] = d.get(key, 0) + 1
+            out.setdefault(s, {})[prefix] = 1
         else:
-            key = prefix * lw
-            d[key] = d.get(key, 0) - 1
-        if not d[key]:
-            del d[key]
-        prefix = prefix * lw
-    return {x: d for x, d in out.items() if d}
+            out.setdefault(-s, {})[nxt] = -1
+        prefix = nxt
+    return out
 
 
 def bound_two_cycle(z: BarChain) -> BarChain:

@@ -27,8 +27,10 @@ arithmetic is done until the word's element is made.  During the walk
 the tensor is one dict per word length, keyed by integer codes of the
 words, and each letter updates the lengths in descending order, so it
 needs no snapshot of the entries it reads (see `MalcevContext._walk`).
-A batch of words is walked as the trie of their prefixes, so a prefix
-that several words share is walked once (see `MalcevContext.elements`).
+`MalcevContext.elements` is the one walk: it walks a batch of new words
+as the trie of their prefixes, so a prefix that several words share is
+walked once, and `word_group` hands it a single new word as a batch of
+one.
 No prefix is kept past the call that builds it: the walk holds, locally,
 only snapshots of the scaled tensors at the branch depths of its current
 path.
@@ -159,26 +161,9 @@ class MalcevContext:
     # -- group elements from words -----------------------------------------
 
     def word_group(self, w: Word) -> NilElement:
-        """The interned element of w; a new word is built in one walk over
-        its letters.
-
-        The walk keeps the prefix's tensor with the coefficient at each
-        word u multiplied by |u|!.  These scaled entries are integers: the
-        coefficient at u in exp(s_1 x_1) ... exp(s_l x_l) is a sum, over
-        the ways of cutting u into consecutive runs x_1^{m_1} ...
-        x_l^{m_l}, of prod_j s_j^{m_j} / m_j!, and |u|! / prod_j m_j! is a
-        multinomial coefficient.  Appending the letter +-i sends the entry
-        v at u (|u| = r) to (+-1)^m C(r+m, m) v at u i^m for m = 0..c-r,
-        which is exp(+-x_i) on the right in scaled form, so a step is
-        integer multiply-adds only.  The scaled tensor is held as one dict
-        per word length r, keyed by the integer code of u in base n (see
-        `_walk`).  Only w itself becomes a NilElement, with entries
-        v / |u|!.
-        """
+        """The interned element of w; a new word is walked by `elements`."""
         x = self._elements.get(w)
-        if x is None:
-            x = self._finish(w, self._walk(self._one(), w.letters))
-        return x
+        return x if x is not None else self.elements((w,))[w]
 
     def _one(self) -> list[dict]:
         """The scaled tensor of the empty word, by length."""
@@ -186,6 +171,16 @@ class MalcevContext:
 
     def _walk(self, layers: list[dict], letters) -> list[dict]:
         """Append letters to the scaled tensor in place; returns it.
+
+        The scaled tensor of a word holds the coefficient at each word u
+        multiplied by |u|!.  These entries are integers: the coefficient at
+        u in exp(s_1 x_1) ... exp(s_l x_l) is a sum, over the ways of
+        cutting u into consecutive runs x_1^{m_1} ... x_l^{m_l}, of
+        prod_j s_j^{m_j} / m_j!, and |u|! / prod_j m_j! is a multinomial
+        coefficient.  Appending the letter +-i sends the entry v at u
+        (|u| = r) to (+-1)^m C(r+m, m) v at u i^m for m = 0..c-r, which is
+        exp(+-x_i) on the right in scaled form, so a step is integer
+        multiply-adds only.
 
         layers[r] maps the code sum_j (u_j - 1) n^(r-1-j) of a word u of
         length r to its scaled entry, so appending the run i^m is
@@ -218,7 +213,8 @@ class MalcevContext:
         return layers
 
     def _finish(self, w: Word, layers: list[dict]) -> NilElement:
-        """Intern w's element from its scaled tensor, which is left as is."""
+        """Intern w's element, with entries v / |u|!, from its scaled
+        tensor, which is left as is."""
         n = self.n
         out = {}
         for r, layer in enumerate(layers):
@@ -295,6 +291,7 @@ class MalcevContext:
 
     def element(self, w: Word) -> NilElement:
         """The one shared element of a word; it caches its log and normal form."""
+        # a delegate, not an alias: the benchmark traces word_group by name
         return self.word_group(w)
 
     def log_word(self, w: Word) -> LieElement:

@@ -32,6 +32,7 @@ from torelli.bar import (
 )
 
 from test_acceptance import bounding_pair_instances
+from test_malcev import _fraction_walk, _reduced_letters
 
 rng = random.Random(14142135)
 
@@ -175,6 +176,24 @@ def test_fox_derivative_basics():
     assert fox_derivatives(word("")) == {}
 
 
+def test_fox_derivatives_of_reduced_words_have_one_term_per_letter():
+    # letter j of w = y_1..y_m adds +[p_{j-1}] for y_j = x_i and -[p_j] for
+    # y_j = x_i^-1, p_j the prefix of length j; in a reduced word no two
+    # of these keys meet, so nothing cancels
+    r = random.Random(17320508)
+    for _ in range(200):
+        letters = _reduced_letters(r, 6, r.randint(1, 30))
+        w = Word.make(letters)
+        assert w.letters == tuple(letters)
+        fox = fox_derivatives(w)
+        assert sum(len(d) for d in fox.values()) == len(w)
+        for j, s in enumerate(letters, 1):
+            if s > 0:
+                assert fox[s][Word.make(letters[: j - 1])] == 1
+            else:
+                assert fox[-s][Word.make(letters[:j])] == -1
+
+
 def test_fox_product_rule():
     for _ in range(100):
         u, v = random_word(), random_word()
@@ -313,11 +332,15 @@ def test_homotopy_is_equivariant():
 
 
 def test_bound_two_cycle_matches_oracle():
+    # a fixed list of products, not all pairs, so the cost does not grow
+    # with the square of the catalog; every class is in one
+    pairs = [("t1", "u2"), ("u1", "t2"), ("conj_l", "sep1"), ("z", "P"), ("P", "z"), ("sep1", "z")]
     cycles = [bar_boundary(random_bar_chain(3)) for _ in range(200)]
-    for g in (2, 3):
+    for g, more in ((2, []), (3, [("t3", "u3"), ("u3", "P")])):
+        cat = catalog(g)
+        assert {name for pair in pairs + more for name in pair} == set(cat)
         C = fundamental_two_chain(g)
-        reps = list(catalog(g).values())
-        reps += [compose(p, q) for p in reps for q in reps]
+        reps = list(cat.values()) + [compose(cat[p], cat[q]) for p, q in pairs + more]
         cycles += [act_on_chain(phi, C) - C for phi in reps]
     for z in cycles:
         D = bound_two_cycle(z)
@@ -380,7 +403,9 @@ def _bound_labels(phi):
 
 
 def _check_scan(labels, n, k):
-    """The scan on a fresh context against per-label word_group."""
+    """The scan on a fresh context against per-label word_group, a batch
+    of one each, and on about 40 labels of every length against the
+    Fraction walk, which shares no code with either."""
     # some labels continue the walk of a shorter label
     assert any(Word.make(w.letters[:-1]) in labels for w in labels)
     ctx = MalcevContext(n, k)
@@ -390,6 +415,9 @@ def _check_scan(labels, n, k):
     for w in labels:
         assert scanned[w].tensor == oracle.word_group(w).tensor, w
         assert ctx.element(w) is scanned[w]
+    by_length = sorted(labels, key=lambda w: (len(w), w.letters))
+    for w in by_length[:: max(1, len(labels) // 40)] + by_length[-1:]:
+        assert scanned[w].tensor == _fraction_walk(ctx, w), w
 
 
 def test_scan_matches_word_group_k3():

@@ -195,8 +195,8 @@ def test_scan_retains_only_the_requested_elements():
 
 
 def _fraction_walk(ctx, w):
-    """The former word_group: multiply by exp(+-x_i) one letter at a time
-    in Fraction tensor arithmetic."""
+    """The walk's independent oracle: multiply by exp(+-x_i) one letter at
+    a time in Fraction tensor arithmetic."""
     t = {(): 1}
     for s in w.letters:
         t = ctx.tc.mul(t, ctx.tc.exp({(abs(s),): 1 if s > 0 else -1}))
@@ -334,7 +334,7 @@ def test_elements_walk_every_distinct_prefix_once(n, k, seed):
     oracle = MalcevContext(n, k)
     assert set(got) == set(words)
     for w in words:
-        assert got[w].tensor == oracle.word_group(w).tensor, w
+        assert got[w].tensor == oracle.word_group(w).tensor == _fraction_walk(ctx, w), w
         assert ctx.element(w) is got[w]
     # one letter per trie edge, that is per distinct nonempty prefix
     edges = {w.letters[:d] for w in set(words) for d in range(1, len(w) + 1)}
